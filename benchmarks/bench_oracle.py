@@ -26,7 +26,6 @@ from benchmarks.conftest import once
 from repro.run.runner import CampaignRunner, default_pool_workers
 from repro.run.spec import CampaignSpec
 from repro.sim.backends import available_engines, get_engine
-from repro.sim.backends.fused import FusedEngine
 from repro.sim.cache import compiled_for, golden_for
 from repro.sim.parallel import grade_faults
 
@@ -49,15 +48,6 @@ def test_bench_oracle_backend(benchmark, b14, b14_bench, b14_faults, backend):
     assert len(result.fail_cycles) == len(b14_faults)
     us_per_fault = benchmark.stats["mean"] * 1e6 / len(b14_faults)
     print(f"\n{backend}: {us_per_fault:.3f} us/fault on {len(b14_faults)} faults")
-
-
-def test_bench_fused_python_plan(benchmark, b14, b14_bench, b14_faults, monkeypatch):
-    """The fused engine's pure-numpy fallback (no C compiler available)."""
-    monkeypatch.setattr(FusedEngine, "use_native", False)
-    result = once(
-        benchmark, grade_faults, b14, b14_bench, b14_faults, backend="fused"
-    )
-    assert len(result.fail_cycles) == len(b14_faults)
 
 
 @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
@@ -85,7 +75,7 @@ class TestOracleSpeedContract:
         from repro.sim.parallel import DEFAULT_BACKEND
 
         assert DEFAULT_BACKEND == "fused"
-        # warm program/plan caches before timing
+        # warm the program and golden-mask caches before timing
         grade_faults(b14, b14_bench, b14_faults, backend="fused")
 
         started = time.perf_counter()

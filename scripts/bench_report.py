@@ -10,9 +10,8 @@ Usage::
 
 The JSON carries an append-only ``history`` list: every run adds a
 timestamped entry recording the machine fingerprint, kernel flags
-(native / thread count), seconds and us/fault per backend (plus the
-fused engine's pure-numpy fallback path) and warmup-separated
-sharded-runner rows for every ``--workers`` count measured. The
+(native / thread count), seconds and us/fault per backend and
+warmup-separated sharded-runner rows for every ``--workers`` count measured. The
 top-level summary fields are **derived from the newest history entry
 on write** — they exist for greppability and old tooling, but the
 history tail is the source of truth, so the two can never disagree.
@@ -29,7 +28,9 @@ compares absolute us/fault against the best such entry. Otherwise
 numpy reference engine in the same run and scales the baseline's fused
 number by the observed numpy ratio — machine speed cancels, and what
 remains is the fused engine's speed relative to a fixed yardstick that
-changes only when engine code changes. It never rewrites the baseline —
+changes only when engine code changes. On a host without the native
+kernel the fused engine runs the numpy engine, so the gate compares it
+with the committed numpy row instead. It never rewrites the baseline —
 refreshing it is a deliberate act (rerun without ``--check`` and commit
 the diff).
 """
@@ -57,7 +58,6 @@ from repro.run.runner import (  # noqa: E402
 )
 from repro.run.spec import CampaignSpec  # noqa: E402
 from repro.sim.backends import available_engines, get_engine  # noqa: E402
-from repro.sim.backends.fused import FusedEngine  # noqa: E402
 from repro.sim.cache import compiled_for, golden_for  # noqa: E402
 from repro.sim.parallel import DEFAULT_BACKEND, grade_faults  # noqa: E402
 
@@ -190,15 +190,13 @@ def check_regression(baseline_path: str, threshold: float, repeats: int) -> int:
     else:
         if baseline.get("fused_native_kernel") and not native:
             # Apples to apples: without a C compiler the fused engine
-            # runs its numpy plan, which the committed fused row did not
-            # measure.
-            plan_us = baseline_backend_us(baseline, "fused (numpy plan)")
-            if plan_us is not None:
-                baseline_fused = plan_us
-                print(
-                    "no native kernel here; gating vs the plan-path baseline "
-                    f"({baseline_fused:.3f} us/fault)"
-                )
+            # hands every grade to the numpy engine, so gate against the
+            # committed numpy row.
+            baseline_fused = baseline_numpy
+            print(
+                "no native kernel here; fused runs the numpy engine, gating "
+                f"vs the numpy baseline ({baseline_fused:.3f} us/fault)"
+            )
         numpy_now = measure(
             circuit, bench, faults, "numpy", max(1, repeats - 1)
         )["us_per_fault"]
@@ -341,18 +339,6 @@ def main() -> int:
             f"({rows[backend]['us_per_fault']:7.3f} us/fault)"
         )
     flags = kernel_flags()
-
-    FusedEngine.use_native = False
-    try:
-        rows["fused (numpy plan)"] = measure(
-            circuit, bench, faults, "fused", max(1, args.repeats - 1)
-        )
-        print(
-            f"{'fused-plan':>12}: {rows['fused (numpy plan)']['seconds']:7.3f} s "
-            f"({rows['fused (numpy plan)']['us_per_fault']:7.3f} us/fault)"
-        )
-    finally:
-        FusedEngine.use_native = True
 
     reference = rows["numpy"]
     for name, row in rows.items():

@@ -242,13 +242,24 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _human_stream(args: argparse.Namespace):
+    """Where human-readable lines go: stderr when stdout carries a
+    ``--json`` document (a boolean flag; ``bench --json`` names a file)."""
+    return sys.stderr if getattr(args, "json", None) is True else sys.stdout
+
+
 def _runner_from(args: argparse.Namespace) -> CampaignRunner:
+    stream = _human_stream(args)
     return CampaignRunner(
         workers=args.workers,
         shards=args.shards,
         store_root=None if args.no_store else args.store,
         resume=not args.no_resume,
-        progress=None if args.quiet else lambda line: print(line, flush=True),
+        progress=(
+            None
+            if args.quiet
+            else lambda line: print(line, file=stream, flush=True)
+        ),
         transport=getattr(args, "transport", None),
         hosts=getattr(args, "hosts", None),
         shard_timeout=getattr(args, "shard_timeout", None),
@@ -277,14 +288,19 @@ def _print_estimates(
     estimates, population: int, spec: CampaignSpec, args
 ) -> None:
     """Per-class confidence intervals of a sampled campaign."""
+    stream = _human_stream(args)
     trials = next(iter(estimates.values())).trials
     print(
         f"  sampled {trials}/{population} {spec.fault_model} faults "
         f"({spec.sampling}, {args.ci_method} @"
-        f"{int(args.confidence * 100)}%):"
+        f"{int(args.confidence * 100)}%):",
+        file=stream,
     )
     for fault_class in FaultClass:
-        print(f"    {fault_class.value:>8}: {estimates[fault_class].describe()}")
+        print(
+            f"    {fault_class.value:>8}: {estimates[fault_class].describe()}",
+            file=stream,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -313,13 +329,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = runner.run(spec, oracle=oracle)
     elapsed = time.perf_counter() - started
     breakdown = result.breakdown
-    print(result.summary())
+    stream = _human_stream(args)
+    print(result.summary(), file=stream)
     print(
         f"  cycles: prologue={breakdown.prologue:,} setup={breakdown.setup:,} "
         f"run={breakdown.run:,} readback={breakdown.readback:,}"
         + "".join(
             f" {key}={value:,}" for key, value in breakdown.extra.items()
-        )
+        ),
+        file=stream,
     )
     population = None
     if spec.sample is not None or estimates is not None:
@@ -343,11 +361,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             print(
                 f"  adaptive: target half-width {args.ci_target:.4f}, "
-                f"rounds {trail}"
+                f"rounds {trail}",
+                file=stream,
             )
     if not args.no_store:
-        print(f"  store: {os.path.join(args.store, spec.campaign_id)}")
-    print(f"  wall clock: {elapsed:.3f}s ({args.workers} worker(s))")
+        print(
+            f"  store: {os.path.join(args.store, spec.campaign_id)}",
+            file=stream,
+        )
+    print(
+        f"  wall clock: {elapsed:.3f}s ({args.workers} worker(s))",
+        file=stream,
+    )
     if args.json:
         payload = {
             "spec": spec.to_dict(),
@@ -606,9 +631,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         sa_iterations=args.sa_iterations,
         seed=args.seed,
     )
-    if args.json:
-        # progress lines would interleave with the JSON document
-        args.quiet = True
     runner = _runner_from(args)
     evaluator = Evaluator(
         base, runner, adaptive_half_width=args.adaptive_half_width
@@ -1022,7 +1044,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="confidence level for sampled-campaign intervals",
     )
     run_parser.add_argument(
-        "--json", action="store_true", help="also print a JSON record"
+        "--json",
+        action="store_true",
+        help="print a JSON record on stdout (human lines go to stderr)",
     )
     run_parser.set_defaults(func=_cmd_run)
 

@@ -4,8 +4,8 @@ The oracle's algorithm (parallel-pattern SEU grading producing
 ``fail_cycle`` / ``vanish_cycle`` per fault) is fixed; *engines* are
 interchangeable executors of that algorithm, registered by name:
 
-* ``fused``  — batched per-opcode numpy kernels, active-lane windowing
-  and resolved-fault early exit (the default; see
+* ``fused``  — the native C cycle kernel with lane compaction and
+  resolved-fault early exit (the default; see
   :mod:`repro.sim.backends.fused`);
 * ``numpy``  — the classic row-per-net uint64 implementation with per-op
   Python dispatch;

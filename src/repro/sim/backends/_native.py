@@ -1,10 +1,8 @@
-"""Optional native cycle kernel for the fused grading engine.
+"""The native cycle kernel behind the fused grading engine.
 
-The fused engine's numpy plan is dispatch- and bandwidth-bound: each
-batched kernel streams its rows through memory and numpy's per-call
-overhead dominates once the active fault window narrows. This module
-closes that gap with a small C library, compiled lazily with the system
-C compiler on first use, that provides three entry points:
+A small C library, compiled lazily with the system C compiler on first
+use, that runs the fused engine's per-cycle simulation for every fault
+model. It provides three entry points:
 
 ``repro_grade_cycle``
     One full emulation cycle — input drive, the 2-input op program,
@@ -15,26 +13,28 @@ C compiler on first use, that provides three entry points:
     fallback build runs the same scalar C. When the persistent thread
     pool is enabled the column range is split into contiguous chunks,
     one per thread: writes are disjoint by construction, so the result
-    is bit-exact regardless of thread count.
+    is bit-exact regardless of thread count. The pool has a single job
+    slot, so concurrent callers that use it take turns on a caller
+    mutex; a 1-thread call takes no lock.
 
 ``repro_set_threads`` / ``repro_threads``
     Configure the persistent pthread worker pool. Pool threads are
     created once and parked on a condition variable between cycles;
     ``REPRO_FUSED_THREADS`` picks the default width (min(4, cpus) when
     unset). A build without pthreads (``-DREPRO_NO_THREADS``) pins the
-    width to 1. Fork is detected by pid and the pool is lazily rebuilt
-    in the child, so multiprocessing workers stay safe.
+    width to 1. Fork is detected by pid and the pool and its locks are
+    lazily rebuilt in the child, so multiprocessing workers stay safe.
 
 ``repro_compact_rows``
     Bit-level lane compaction: squeeze the kept bits (per a keep mask,
     one bit per fault lane) of each row to the front, in place, using
     PEXT where BMI2 is available. The fused engine uses this to drop
-    re-converged fault lanes mid-campaign so the kernel only streams
+    re-converged SEU lanes mid-campaign so the kernel only streams
     live lanes — the dominant speedup on long convergence tails.
 
-Everything degrades gracefully: no compiler, a failed compile, or
-``REPRO_FUSED_NATIVE=0`` in the environment simply returns ``None`` and
-the fused engine falls back to its pure-numpy plan (same results,
+No compiler, a failed compile, or ``REPRO_FUSED_NATIVE=0`` in the
+environment makes :func:`native_kernel` return ``None``; the fused
+engine then hands every grade to the ``numpy`` engine (same results,
 slower). The compiled library is cached under ``~/.cache`` keyed by a
 hash of the source and the CPU identity, so a machine pays the compile
 once. No third-party packages are involved — only ``ctypes`` and the
@@ -169,6 +169,28 @@ static long g_pending = 0;
 static struct gc_args g_args;
 static struct pool_worker { long idx; unsigned long seen; }
     g_w[REPRO_MAX_THREADS];
+/* The pool has one job slot (g_args/g_gen/g_pending), so concurrent
+ * callers take turns: g_call_mx is held from pool_ensure until the
+ * caller's job has drained. It is valid from load (static init) in the
+ * loading process; a forked child re-initialises it on first use, since
+ * the fork may have copied it locked. */
+static pthread_mutex_t g_call_mx = PTHREAD_MUTEX_INITIALIZER;
+static long g_call_pid = -1;
+
+__attribute__((constructor)) static void call_lock_init(void)
+{
+    g_call_pid = (long)getpid();
+}
+
+static void call_lock(void)
+{
+    long pid = (long)getpid();
+    if (g_call_pid != pid) {
+        pthread_mutex_init(&g_call_mx, 0);
+        g_call_pid = pid;
+    }
+    pthread_mutex_lock(&g_call_mx);
+}
 
 static void *pool_main(void *arg)
 {
@@ -265,8 +287,10 @@ void repro_grade_cycle(
     if (maxp < 1) maxp = 1;
     if (parts > maxp) parts = maxp;
     if (parts > 1) {
+        call_lock();
         long avail = pool_ensure(parts);
         if (parts > avail) parts = avail;
+        if (parts < 2) pthread_mutex_unlock(&g_call_mx);
     }
     if (parts > 1) {
         A.parts = parts;
@@ -283,6 +307,7 @@ void repro_grade_cycle(
         pthread_mutex_lock(&g_mx);
         while (g_pending) pthread_cond_wait(&g_cv_done, &g_mx);
         pthread_mutex_unlock(&g_mx);
+        pthread_mutex_unlock(&g_call_mx);
         return;
     }
 #endif
@@ -345,6 +370,9 @@ long repro_compact_rows(
     return out_words;
 }
 """
+
+#: the C pool's width cap (REPRO_MAX_THREADS above)
+MAX_THREADS = 64
 
 #: tri-state: None = not tried yet, False = unavailable, else the kernel
 _KERNEL = None

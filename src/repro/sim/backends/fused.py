@@ -1,42 +1,39 @@
-"""The fused grading engine: batched opcode kernels with early exit.
+"""The fused grading engine: the C cycle kernel with lane compaction.
 
-This is the default oracle backend. It removes the costs that make the
-classic numpy engine the wall-clock bottleneck of b14-scale campaigns:
+This is the default oracle backend. Every fault model grades through one
+native path — a lazily compiled C kernel
+(:mod:`repro.sim.backends._native`) that runs a whole emulation cycle
+(input drive, the op program, output compare, state latch and compare)
+over cache-sized word-column blocks — and the Python around it only does
+per-cycle bookkeeping on small word vectors:
 
-* **Compilation** — the levelized op program is precompiled once per
-  netlist into struct-of-arrays *op groups*: buffers alias away, gates
+* **Compilation** — the levelized op program is lowered once per netlist
+  into a flat ``(code, a, b, c, out)`` table: buffers alias away, gates
   are rewritten to 2-input form, inverting gates (nand/nor/xnor and inv)
-  fold into their base op plus a per-row invert mask, and a stage
-  scheduler packs independent gates of the same base op into one group
-  (b14: 1738 interpreted ops become a few hundred batched groups). The
-  same pass emits a flat ``(code, a, b, c, out)`` table for the native
-  kernel. Programs are cached per :class:`CompiledNetlist`.
+  become their base op's inverted code, and a stage scheduler orders
+  independent gates of one base op next to each other with contiguous
+  output slots. Programs are cached per :class:`CompiledNetlist`.
 * **Golden re-unpacking** — golden input/output/state words are
   pre-expanded once into uint64 mask rows (0 or ~0 per bit), so per-cycle
   compares are one XOR and an OR-reduction, with ``np.unpackbits`` only
   on the (usually sparse) newly-resolved words — not over every fault
   lane every cycle.
-* **Dead lanes and dead cycles** — fault lanes are (stably) sorted by
-  injection cycle and simulated through a sliding window of active
-  64-lane word columns: columns activate when their first fault is
-  injected (seeded from the golden state) and retire once every lane in
-  them has re-converged. When every injected fault has vanished and no
-  injections remain, the cycle loop exits early — resolved campaigns do
-  not pay for the tail of the testbench.
-* **Memory locality** — when a C compiler is available, the per-cycle
-  inner loop runs in a lazily compiled native kernel
-  (:mod:`repro.sim.backends._native`) that executes the whole op program
-  over cache-sized column blocks; the bit-parallel simulation then runs
-  at cache bandwidth instead of DRAM bandwidth. Without a compiler the
-  engine transparently falls back to a pure-numpy *plan*: the program
-  instantiated against a value array with every operand resolved once
-  into zero-copy views or shared gather scratch, executed as a flat list
-  of in-place (``out=``) batched calls — no ``.copy()`` per gate, no
-  per-cycle view construction.
+* **Dead lanes and dead cycles** (plain SEU lists) — fault lanes are
+  (stably) sorted by injection cycle, packed as they are injected and
+  squeezed together by the kernel's PEXT compactor once enough of them
+  have re-converged, so the kernel only streams live lanes. When every
+  injected fault has vanished and no injections remain, the cycle loop
+  exits early — resolved campaigns do not pay for the tail of the
+  testbench.
+* **Other fault models** — multi-flop flips, per-cycle force bit-planes
+  and final-suffix vanish tracking are applied to the q rows in Python;
+  the kernel then simulates the cycle over the full lane width.
 
-Both execution paths produce bit-identical results; every other engine
-(``numpy``, ``bigint``) and the serial replay are cross-checked against
-them in the test suite.
+Each grade allocates its own value array and scratch, so concurrent
+grades on one compiled netlist share only read-only tables. Without the
+kernel (no C compiler, or ``REPRO_FUSED_NATIVE=0``) the engine hands the
+call to the ``numpy`` engine and reports ``last_stats["native"] = False``;
+every engine and the serial replay are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -48,8 +45,9 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro.faults.model import SeuFault
-from repro.sim.backends._native import native_kernel
-from repro.sim.backends.base import GradingEngine, register_engine
+from repro.sim.backends import numpy_engine as _numpy_engine  # noqa: F401
+from repro.sim.backends._native import MAX_THREADS, native_kernel
+from repro.sim.backends.base import GradingEngine, get_engine, register_engine
 from repro.sim.inject import schedule_for
 from repro.sim.compile import (
     OP_AND,
@@ -70,20 +68,9 @@ from repro.sim.vectors import Testbench
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-# Kernel shapes a group can take.
-_K_BIN = 0  # base 2-input gate (+ optional per-row invert mask)
+# Gate families the stage scheduler batches together.
+_K_BIN = 0  # base 2-input gate (optionally inverted)
 _K_MUX = 1  # 2:1 mux
-
-# Operand-block fetch modes.
-_F_SLICE = 0  # contiguous slot run -> zero-copy view
-_F_ROW = 1  # one slot for every gate -> broadcast row view
-_F_GATHER = 2  # general case -> fancy-index gather
-
-# Instantiated plan step tags (ordered by execution frequency).
-_P_BIN = 0  # ufunc(a, b, out=view)
-_P_GATHER = 1  # values.take(index, 0, buffer)
-_P_BININV = 2  # ufunc(a, b, out=view); view ^= inv_col
-_P_MUX = 3  # view = d0 ^ (select & (d0 ^ d1))
 
 #: base (non-inverting) op of every 2-input gate family
 _BASE_OP = {
@@ -95,50 +82,30 @@ _BASE_OP = {
     OP_XNOR: OP_XOR,
 }
 _INVERTING = frozenset((OP_NAND, OP_NOR, OP_XNOR))
-_UFUNC_OF = {
-    OP_AND: np.bitwise_and,
-    OP_OR: np.bitwise_or,
-    OP_XOR: np.bitwise_xor,
-}
 #: native op table codes: base code + 3 when inverted; 6 = mux
 _NATIVE_CODE = {OP_AND: 0, OP_OR: 1, OP_XOR: 2}
 _NATIVE_MUX = 6
 
-#: instantiated numpy plans kept per program (keyed by word count)
-_MAX_CACHED_PLANS = 4
-
 
 @dataclass
 class FusedProgram:
-    """A compiled netlist lowered to batched struct-of-arrays kernels.
+    """A compiled netlist lowered to the C kernel's op table.
 
-    ``groups`` holds ``(kind, base_op, operands, out_start, out_stop,
-    inv_col, size)`` tuples in execution order; ``operands`` is one fetch
-    descriptor per input block (2 for binary kernels; select/d0/d1 for
-    muxes) — ``(_F_SLICE, start, stop)``, ``(_F_ROW, slot, 0)`` or
-    ``(_F_GATHER, index_array, 0)``. Outputs occupy the contiguous slot
-    range ``[out_start, out_stop)`` so kernels compute straight into the
-    value array. ``inv_col`` is a ``(size, 1)`` uint64 mask (~0 on rows
-    whose gate inverts) or None. ``native_ops`` is the same program as a
-    flat ``(code, a, b, c, out)`` int32 table for the C kernel. Slots are
-    renumbered: primary inputs first, then flop q's, then the remaining
-    source slots, then one produced slot per gate in group order.
+    ``native_ops`` is a flat ``(code, a, b, c, out)`` int32 table in
+    execution order. Slots are renumbered: primary inputs first, then
+    flop q's, then the remaining source slots, then one produced slot per
+    gate in table order.
     """
 
     num_slots: int
-    groups: List[tuple]
     native_ops: np.ndarray
-    zero_rows: np.ndarray  # rows held at 0 (const0 gates)
-    ones_rows: np.ndarray  # rows held at ~0 (const1 gates)
+    ones_rows: np.ndarray  # rows held at ~0 (const1 gates; const0 rows stay 0)
     num_inputs: int
     q_start: int
     q_stop: int
-    input_slots: np.ndarray
     output_slots: np.ndarray
     d_slots: np.ndarray
     q_slots: np.ndarray
-    #: instantiated (values, plan, ...) per word count — see _instantiate
-    plans: Dict[int, tuple] = field(default_factory=dict, repr=False)
     #: golden mask rows per stimulus digest — see _masks_for
     masks: Dict[str, tuple] = field(default_factory=dict, repr=False)
 
@@ -163,18 +130,8 @@ def fused_program_for(compiled: CompiledNetlist) -> FusedProgram:
         return program
 
 
-def _operand_descriptor(block: List[int]) -> tuple:
-    """Pick the cheapest fetch mode for one operand block."""
-    first = block[0]
-    if all(slot == first for slot in block):
-        return (_F_ROW, first, 0)
-    if all(slot == first + offset for offset, slot in enumerate(block)):
-        return (_F_SLICE, first, first + len(block))
-    return (_F_GATHER, np.array(block, dtype=np.int64), 0)
-
-
 def build_fused_program(compiled: CompiledNetlist) -> FusedProgram:
-    """Lower the levelized op list into batched per-opcode groups."""
+    """Lower the levelized op list into the native op table."""
     next_slot = compiled.num_slots
     const0_old: List[int] = []
     const1_old: List[int] = []
@@ -189,8 +146,8 @@ def build_fused_program(compiled: CompiledNetlist) -> FusedProgram:
     # ---- pass 1: 2-input normal form ---------------------------------
     # Buffers (and degenerate 1-input and/or/xor) alias to their input;
     # inverters (and 1-input inverting gates) become NOR(a, a) so they
-    # ride the OR family with just an invert-mask row; multi-input
-    # associative gates become chains through temp slots.
+    # ride the OR family as its inverted code; multi-input associative
+    # gates become chains through temp slots.
     for opcode, in_slots, out_slot in compiled.ops:
         in_slots = tuple(resolve(slot) for slot in in_slots)
         if opcode == OP_CONST0:
@@ -222,8 +179,8 @@ def build_fused_program(compiled: CompiledNetlist) -> FusedProgram:
     # ---- pass 2: stage scheduling ------------------------------------
     # Every gate lands in stage 1 + max(stage of producers); gates of one
     # base-op family at the same stage share a group. Groups of a stage
-    # are mutually independent, so executing groups in (stage, family)
-    # order preserves dataflow while batching far below the op count.
+    # are mutually independent, so emitting groups in (stage, family)
+    # order preserves dataflow and keeps same-code rows adjacent.
     slot_stage = {}  # produced slot -> pipeline stage
     stage_groups: dict = {}  # (stage, family) -> group index
     groups_members: List[List[Tuple[int, Tuple[int, ...], int]]] = []
@@ -254,7 +211,7 @@ def build_fused_program(compiled: CompiledNetlist) -> FusedProgram:
     groups_members = [groups_members[i] for i in group_order]
     groups_family = [groups_key[i][1] for i in group_order]
 
-    # ---- pass 3: slot renumbering ------------------------------------
+    # ---- pass 3: slot renumbering + the native op table ----------------
     # Sources keep their relative order (inputs, then q's, then the
     # rest); each group's outputs become one contiguous range.
     skip = set(const0_old)
@@ -268,73 +225,25 @@ def build_fused_program(compiled: CompiledNetlist) -> FusedProgram:
         new_of[old] = len(new_of)
     for old in const1_old:
         new_of[old] = len(new_of)
-    out_ranges: List[Tuple[int, int]] = []
-    cursor = len(new_of)
-    for members in groups_members:
+    native_rows: List[Tuple[int, int, int, int, int]] = []
+    for (kind, base_op), members in zip(groups_family, groups_members):
         # Sort members by their operands' already-renumbered slots: buses
         # that flow through the circuit in order keep their outputs in
-        # order too, turning downstream operand blocks into zero-copy
-        # slices instead of gathers (every producer ran in an earlier
-        # group, so its new ids are known here).
+        # order too, so the kernel streams neighbouring rows (every
+        # producer ran in an earlier group, so its new ids are known).
         members.sort(
             key=lambda member: tuple(new_of[slot] for slot in member[1])
         )
-        start = cursor
-        for _, _, out_slot in members:
-            new_of[out_slot] = cursor
-            cursor += 1
-        out_ranges.append((start, cursor))
-    num_slots = cursor
-
-    # ---- pass 4: emit struct-of-arrays groups + the native op table ---
-    groups: List[tuple] = []
-    native_rows: List[Tuple[int, int, int, int, int]] = []
-    for (kind, base_key), members, (start, stop) in zip(
-        groups_family, groups_members, out_ranges
-    ):
-        size = len(members)
-        num_blocks = 3 if kind == _K_MUX else 2
-        operands = tuple(
-            _operand_descriptor(
-                [new_of[member[1][block]] for member in members]
-            )
-            for block in range(num_blocks)
-        )
-        inv_col = None
-        base_op = OP_MUX2 if kind == _K_MUX else base_key
-        if kind == _K_BIN:
-            inverts = [member[0] in _INVERTING for member in members]
-            base_code = _NATIVE_CODE[base_key]
-            for offset, member in enumerate(members):
-                first = new_of[member[1][0]]
-                second = new_of[member[1][1]]
-                native_rows.append(
-                    (
-                        base_code + (3 if inverts[offset] else 0),
-                        first,
-                        second,
-                        second,
-                        start + offset,
-                    )
-                )
-            if any(inverts):
-                inv_col = np.fromiter(
-                    (_ONES if invert else 0 for invert in inverts),
-                    dtype=np.uint64,
-                    count=size,
-                ).reshape(size, 1)
-        else:
-            for offset, member in enumerate(members):
-                native_rows.append(
-                    (
-                        _NATIVE_MUX,
-                        new_of[member[1][0]],
-                        new_of[member[1][1]],
-                        new_of[member[1][2]],
-                        start + offset,
-                    )
-                )
-        groups.append((kind, base_op, operands, start, stop, inv_col, size))
+        for opcode, in_slots, out_slot in members:
+            new_of[out_slot] = len(new_of)
+            operands = [new_of[slot] for slot in in_slots]
+            if kind == _K_MUX:
+                code = _NATIVE_MUX
+            else:
+                code = _NATIVE_CODE[base_op] + (3 if opcode in _INVERTING else 0)
+                operands.append(operands[1])
+            native_rows.append((code, *operands, new_of[out_slot]))
+    num_slots = len(new_of)
 
     def renumber(slot: int) -> int:
         return new_of[resolve(slot)]
@@ -354,18 +263,13 @@ def build_fused_program(compiled: CompiledNetlist) -> FusedProgram:
 
     return FusedProgram(
         num_slots=num_slots,
-        groups=groups,
         native_ops=np.array(native_rows, dtype=np.int32).reshape(-1, 5),
-        zero_rows=np.array(
-            [new_of[slot] for slot in const0_old], dtype=np.int64
-        ),
         ones_rows=np.array(
             [new_of[slot] for slot in const1_old], dtype=np.int64
         ),
         num_inputs=num_inputs,
         q_start=num_inputs,
         q_stop=num_inputs + num_flops,
-        input_slots=input_slots,
         output_slots=np.array(
             [renumber(slot) for slot in compiled.output_slots], dtype=np.int64
         ),
@@ -374,97 +278,6 @@ def build_fused_program(compiled: CompiledNetlist) -> FusedProgram:
         ),
         q_slots=q_slots,
     )
-
-
-def _instantiate(program: FusedProgram, num_words: int) -> tuple:
-    """Bind the numpy plan to a value array of ``num_words`` columns.
-
-    Returns ``(values, plan, out_buffer, d_buffer)`` where ``plan`` is
-    the flat list of prepared kernel steps the fallback cycle loop
-    executes. Cached on the program: views and buffers are preallocated,
-    so repeated grade calls of the same shape skip straight to
-    simulation.
-    """
-    try:
-        return program.plans[num_words]
-    except KeyError:
-        pass
-
-    values = np.zeros((program.num_slots, num_words), dtype=np.uint64)
-    if len(program.ones_rows):
-        values[program.ones_rows, :] = _ONES
-
-    plan: List[tuple] = []
-
-    # One shared scratch arena per operand position: gather buffers are
-    # views into it, so every step reuses the same few cache-hot rows
-    # instead of dragging hundreds of cold buffers through memory.
-    scratch_rows = [0, 0, 0]
-    for _, _, operands, _, _, _, _ in program.groups:
-        for position, (mode, payload, _) in enumerate(operands):
-            if mode == _F_GATHER and len(payload) > scratch_rows[position]:
-                scratch_rows[position] = len(payload)
-    scratch = [
-        np.empty((rows, num_words), dtype=np.uint64) if rows else None
-        for rows in scratch_rows
-    ]
-
-    def fetch(descriptor: tuple, position: int):
-        mode, payload, stop = descriptor
-        if mode == _F_SLICE:
-            return values[payload:stop]
-        if mode == _F_ROW:
-            return values[payload]
-        buffer = scratch[position][: len(payload)]
-        plan.append((_P_GATHER, payload, buffer))
-        return buffer
-
-    for kind, base_op, operands, out_start, out_stop, inv_col, _ in program.groups:
-        view = values[out_start:out_stop]
-        if kind == _K_BIN:
-            a = fetch(operands[0], 0)
-            b = fetch(operands[1], 1)
-            if inv_col is None:
-                plan.append((_P_BIN, _UFUNC_OF[base_op], a, b, view))
-            else:
-                plan.append(
-                    (_P_BININV, _UFUNC_OF[base_op], a, b, view, inv_col)
-                )
-        else:
-            select = fetch(operands[0], 0)
-            d0 = fetch(operands[1], 1)
-            d1 = fetch(operands[2], 2)
-            plan.append((_P_MUX, select, d0, d1, view))
-
-    out_buffer = np.empty((len(program.output_slots), num_words), dtype=np.uint64)
-    d_buffer = np.empty((len(program.d_slots), num_words), dtype=np.uint64)
-
-    if len(program.plans) >= _MAX_CACHED_PLANS:
-        program.plans.clear()
-    instance = (values, plan, out_buffer, d_buffer)
-    program.plans[num_words] = instance
-    return instance
-
-
-def _exec_plan(plan: List[tuple], values: np.ndarray) -> None:
-    """Execute one cycle's worth of prepared kernel steps."""
-    bitwise_xor = np.bitwise_xor
-    bitwise_and = np.bitwise_and
-    for step in plan:
-        tag = step[0]
-        if tag == _P_BIN:
-            step[1](step[2], step[3], out=step[4])
-        elif tag == _P_GATHER:
-            values.take(step[1], 0, step[2])
-        elif tag == _P_BININV:
-            view = step[4]
-            step[1](step[2], step[3], out=view)
-            bitwise_xor(view, step[5], out=view)
-        else:  # _P_MUX: out = d0 ^ (select & (d0 ^ d1))
-            view = step[4]
-            bitwise_xor(step[2], step[3], out=view)
-            bitwise_and(view, step[1], out=view)
-            bitwise_xor(view, step[2], out=view)
 
 
 def _mask_rows(words: Sequence[int], num_bits: int) -> np.ndarray:
@@ -513,9 +326,8 @@ def _masks_for(
 class _LaneOrder:
     """Fault lanes stably sorted by injection cycle.
 
-    Sorting makes the injected lane set a prefix at every cycle, which
-    keeps the active word window contiguous and lets injections index the
-    per-cycle slice ``[starts[t], ends[t])``.
+    Sorting makes the injected lane set a prefix at every cycle, so
+    injections index the per-cycle slice ``[starts[t], ends[t])``.
     """
 
     def __init__(self, program: FusedProgram, faults, num_cycles: int):
@@ -531,23 +343,73 @@ class _LaneOrder:
         self.order = np.argsort(cycles, kind="stable")
         sorted_cycles = cycles[self.order]
         self.lane_q = program.q_slots[flop_indices[self.order]]
-        self.lane_word = np.arange(num_faults, dtype=np.int64) // 64
-        self.lane_bit = np.left_shift(
-            np.uint64(1), (np.arange(num_faults) % 64).astype(np.uint64)
-        )
         span = np.arange(num_cycles)
         self.starts = np.searchsorted(sorted_cycles, span, side="left")
         self.ends = np.searchsorted(sorted_cycles, span, side="right")
 
 
+def _bind_kernel(kernel, program: FusedProgram, num_words: int, masks: tuple):
+    """One grade's private buffers, bound to the C cycle kernel.
+
+    Returns ``(values, run, out_diff, state_diff)``: ``run(cycle, n_act)``
+    simulates ``cycle`` over word columns ``[0, n_act)`` of ``values``,
+    leaving the latched state in the q rows and the per-word golden
+    mismatch of the outputs and of the next state in ``out_diff`` and
+    ``state_diff``. Nothing here is cached, so concurrent grades on one
+    program share only its read-only tables.
+    """
+    in_masks, out_masks, state_masks = masks
+    values = np.zeros((program.num_slots, num_words), dtype=np.uint64)
+    if len(program.ones_rows):
+        values[program.ones_rows, :] = _ONES
+    ops = np.ascontiguousarray(program.native_ops)
+    out_slots = program.output_slots.astype(np.int32)
+    d_slots = program.d_slots.astype(np.int32)
+    num_flops = len(d_slots)
+    out_diff = np.zeros(num_words, dtype=np.uint64)
+    state_diff = np.zeros(num_words, dtype=np.uint64)
+    # One chunk of D scratch per pool thread; chunks round up, so any
+    # width up to the pool cap fits even if another thread resizes the
+    # pool mid-grade (the kernel reads the width on every call).
+    d_scratch = np.empty(num_flops * (num_words + MAX_THREADS), dtype=np.uint64)
+    grade_cycle = kernel.grade_cycle
+
+    def run(cycle: int, n_act: int) -> None:
+        grade_cycle(
+            values.ctypes.data,
+            num_words,
+            0,
+            n_act,
+            ops.ctypes.data,
+            len(ops),
+            in_masks[cycle].ctypes.data,
+            program.num_inputs,
+            out_slots.ctypes.data,
+            out_masks[cycle].ctypes.data,
+            len(out_slots),
+            out_diff.ctypes.data,
+            d_slots.ctypes.data,
+            state_masks[cycle + 1].ctypes.data,
+            num_flops,
+            program.q_start,
+            state_diff.ctypes.data,
+            d_scratch.ctypes.data,
+        )
+
+    return values, run, out_diff, state_diff
+
+
+def _lanes_of(words: np.ndarray) -> np.ndarray:
+    """Indices of the set bits of a uint64 word vector (bit i of word w
+    is lane 64*w + i)."""
+    return np.nonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))[0]
+
+
 @register_engine
 class FusedEngine(GradingEngine):
-    """Batched-kernel grading with lane windowing and early exit."""
+    """Native-kernel grading with lane compaction and early exit."""
 
     name = "fused"
-
-    #: set False to force the pure-numpy plan path (tests, diagnostics)
-    use_native = True
 
     def grade(
         self,
@@ -556,223 +418,45 @@ class FusedEngine(GradingEngine):
         faults: Sequence[SeuFault],
         golden: GoldenTrace,
     ) -> Tuple[List[int], List[int]]:
+        kernel = native_kernel()
+        if kernel is None:
+            fallback = get_engine("numpy")
+            result = fallback.grade(compiled, testbench, faults, golden)
+            self.last_stats = {**fallback.last_stats, "native": False}
+            return result
+
         program = fused_program_for(compiled)
-        num_faults = len(faults)
-        num_words = (num_faults + 63) // 64
         num_cycles = testbench.num_cycles
-
         schedule = schedule_for(faults, num_cycles, len(program.q_slots))
-        if not schedule.simple:
-            return self._grade_general(program, testbench, golden, schedule)
-
-        lanes = _LaneOrder(program, faults, num_cycles)
-
         # Golden words pre-unpacked to mask rows, cached per stimulus.
-        in_masks, out_masks, state_masks = _masks_for(
-            program, testbench, golden
-        )
-
-        # Valid-lane mask per word (the last word may be partial).
-        valid = np.full(num_words, _ONES, dtype=np.uint64)
-        if num_faults % 64:
-            valid[-1] = np.uint64((1 << (num_faults % 64)) - 1)
-
-        fail_sorted = np.full(num_faults, -1, dtype=np.int64)
-        vanish_sorted = np.full(num_faults, -1, dtype=np.int64)
-
-        kernel = native_kernel() if self.use_native else None
-        runner = self._run_native if kernel is not None else self._run_plan
-        executed, extra = runner(
-            kernel,
-            program,
-            lanes,
-            (in_masks, out_masks, state_masks),
-            valid,
-            (num_faults, num_words, num_cycles),
-            fail_sorted,
-            vanish_sorted,
-        )
-
+        masks = _masks_for(program, testbench, golden)
+        if schedule.simple:
+            fail_cycle, vanish_cycle, stats = self._grade_seu(
+                kernel, program, faults, masks, num_cycles
+            )
+        else:
+            fail_cycle, vanish_cycle, stats = self._grade_general(
+                kernel, program, masks, schedule, num_cycles
+            )
         self.last_stats = {
-            "cycles_executed": executed,
             "num_cycles": num_cycles,
-            "num_words": num_words,
-            "num_groups": len(program.groups),
-            "native": kernel is not None,
-            **extra,
-        }
-
-        fail_cycle = np.empty(num_faults, dtype=np.int64)
-        vanish_cycle = np.empty(num_faults, dtype=np.int64)
-        fail_cycle[lanes.order] = fail_sorted
-        vanish_cycle[lanes.order] = vanish_sorted
-        return fail_cycle.tolist(), vanish_cycle.tolist()
-
-    # ------------------------------------------------------------------
-    # generic path: non-SEU fault models (multi-flop flips, per-cycle
-    # force re-application, final-suffix vanish semantics)
-    # ------------------------------------------------------------------
-    def _grade_general(
-        self,
-        program: FusedProgram,
-        testbench: Testbench,
-        golden: GoldenTrace,
-        schedule,
-    ) -> Tuple[List[int], List[int]]:
-        """Full-width grading over the prepared numpy plan.
-
-        Persistent faults are incompatible with the legacy path's two
-        core optimizations — lane retirement (a forced lane can
-        re-diverge) and the one-shot injection XOR — so this branch runs
-        every fault lane through every cycle, re-applying the force
-        bit-planes to the held state each cycle, and tracks vanish as the
-        start of the final golden-equal suffix. Transient (MBU) schedules
-        still early-exit once every lane has re-converged.
-        """
-        num_faults = schedule.num_faults
-        num_cycles = testbench.num_cycles
-        num_words = (num_faults + 63) // 64
-        num_flops = len(program.q_slots)
-
-        in_masks, out_masks, state_masks = _masks_for(
-            program, testbench, golden
-        )
-
-        values, plan, out_buffer, d_buffer = _instantiate(program, num_words)
-        input_view = values[0 : program.num_inputs]
-        q_view = values[program.q_start : program.q_stop]
-        q_view[:] = state_masks[0][:, None]
-
-        valid = np.full(num_words, _ONES, dtype=np.uint64)
-        if num_faults % 64:
-            valid[-1] = np.uint64((1 << (num_faults % 64)) - 1)
-
-        fail_cycle = np.full(num_faults, -1, dtype=np.int64)
-        vanish_cycle = np.full(num_faults, -1, dtype=np.int64)
-        injected = np.zeros(num_words, dtype=np.uint64)
-        not_failed = valid.copy()
-        no_candidate = valid.copy()
-
-        force_mask = np.zeros((num_flops, num_words), dtype=np.uint64)
-        force_set = np.zeros((num_flops, num_words), dtype=np.uint64)
-        forcing = False
-
-        activations: Dict[int, np.ndarray] = {}
-        lane_groups: Dict[int, List[int]] = {}
-        for lane, cycle in enumerate(schedule.first_active):
-            lane_groups.setdefault(cycle, []).append(lane)
-        for cycle, lanes_at in lane_groups.items():
-            mask = np.zeros(num_words, dtype=np.uint64)
-            for lane in lanes_at:
-                mask[lane >> 6] |= np.uint64(1 << (lane & 63))
-            activations[cycle] = mask
-        last_activation = max(lane_groups) if lane_groups else -1
-
-        bitwise_xor = np.bitwise_xor
-        bitwise_or_reduce = np.bitwise_or.reduce
-
-        def apply_cycle_events(cycle: int) -> None:
-            nonlocal forcing
-            for flop_index, lane in schedule.flips.get(cycle, ()):
-                q_view[flop_index, lane >> 6] ^= np.uint64(1 << (lane & 63))
-            for flop_index, lane, value in schedule.force_on.get(cycle, ()):
-                bit = np.uint64(1 << (lane & 63))
-                force_mask[flop_index, lane >> 6] |= bit
-                if value:
-                    force_set[flop_index, lane >> 6] |= bit
-                forcing = True
-            for flop_index, lane in schedule.force_off.get(cycle, ()):
-                bit = np.uint64(1 << (lane & 63))
-                force_mask[flop_index, lane >> 6] &= ~bit
-                force_set[flop_index, lane >> 6] &= ~bit
-            if forcing:
-                np.bitwise_and(q_view, ~force_mask, out=q_view)
-                np.bitwise_or(q_view, force_set, out=q_view)
-
-        def update_vanish(cycle: int, end_cycle: int) -> None:
-            """Vanished-by-``end_cycle`` bookkeeping: compare the state
-            held during ``cycle`` against its golden counterpart."""
-            bitwise_xor(q_view, state_masks[cycle][:, None], out=d_buffer)
-            state_diff = bitwise_or_reduce(d_buffer, axis=0)
-            conv = ~state_diff & injected
-            newly = conv & no_candidate
-            if newly.any():
-                bits = np.unpackbits(newly.view(np.uint8), bitorder="little")
-                vanish_cycle[np.nonzero(bits)[0]] = end_cycle
-                np.bitwise_and(no_candidate, ~newly, out=no_candidate)
-            lost = state_diff & injected & ~no_candidate
-            if lost.any():
-                bits = np.unpackbits(lost.view(np.uint8), bitorder="little")
-                vanish_cycle[np.nonzero(bits)[0]] = -1
-                np.bitwise_or(no_candidate, lost, out=no_candidate)
-
-        for cycle in range(num_cycles):
-            apply_cycle_events(cycle)
-            if cycle > 0:
-                update_vanish(cycle, cycle - 1)
-            mask = activations.get(cycle)
-            if mask is not None:
-                np.bitwise_or(injected, mask, out=injected)
-
-            input_view[:] = in_masks[cycle][:, None]
-            _exec_plan(plan, values)
-
-            values.take(program.output_slots, 0, out_buffer)
-            bitwise_xor(out_buffer, out_masks[cycle][:, None], out=out_buffer)
-            out_diff = bitwise_or_reduce(out_buffer, axis=0)
-            newly_failed = out_diff & not_failed & injected
-            if newly_failed.any():
-                bits = np.unpackbits(
-                    newly_failed.view(np.uint8), bitorder="little"
-                )
-                fail_cycle[np.nonzero(bits)[0]] = cycle
-                np.bitwise_and(not_failed, ~newly_failed, out=not_failed)
-
-            values.take(program.d_slots, 0, d_buffer)
-            q_view[:] = d_buffer
-
-            if (
-                not schedule.persistent
-                and cycle >= last_activation
-                and not no_candidate.any()
-            ):
-                # Transient faults cannot re-diverge: every lane has
-                # converged and no injection remains, so fail/vanish are
-                # final — skip the tail (and the post-bench compare).
-                self.last_stats = {
-                    "cycles_executed": cycle + 1,
-                    "num_cycles": num_cycles,
-                    "num_words": num_words,
-                    "num_groups": len(program.groups),
-                    "native": False,
-                }
-                return fail_cycle.tolist(), vanish_cycle.tolist()
-
-        apply_cycle_events(num_cycles)
-        update_vanish(num_cycles, num_cycles - 1)
-
-        self.last_stats = {
-            "cycles_executed": num_cycles,
-            "num_cycles": num_cycles,
-            "num_words": num_words,
-            "num_groups": len(program.groups),
-            "native": False,
+            "num_words": (len(faults) + 63) // 64,
+            "native": True,
+            "threads": kernel.threads,
+            **stats,
         }
         return fail_cycle.tolist(), vanish_cycle.tolist()
 
     # ------------------------------------------------------------------
-    # native path: C cycle kernel over a compacting packed lane window
+    # plain SEU lists: a compacting packed lane window
     # ------------------------------------------------------------------
     @staticmethod
-    def _run_native(
+    def _grade_seu(
         kernel,
         program: FusedProgram,
-        lanes: _LaneOrder,
+        faults: Sequence[SeuFault],
         masks: tuple,
-        valid: np.ndarray,
-        shape: tuple,
-        fail_sorted: np.ndarray,
-        vanish_sorted: np.ndarray,
+        num_cycles: int,
     ) -> tuple:
         """Simulate only live lanes, repacking them as they resolve.
 
@@ -783,35 +467,26 @@ class FusedEngine(GradingEngine):
         ``lane_map`` indirection (packed position -> sorted lane index)
         keeps fail/vanish writes exact across repacks. On convergence-
         heavy campaigns this cuts the streamed word columns by ~2x over
-        the old contiguous word window, because a word column stayed
-        active while *any* of its 64 lanes was unresolved.
+        a contiguous word window, because a word column stays active
+        while *any* of its 64 lanes is unresolved.
         """
-        del valid  # per-lane bookkeeping makes the word mask redundant
-        in_masks, out_masks, state_masks = masks
-        num_faults, num_words, num_cycles = shape
+        num_faults = len(faults)
+        num_words = (num_faults + 63) // 64
+        lanes = _LaneOrder(program, faults, num_cycles)
+        state_masks = masks[2]
         q_start = program.q_start
         q_stop = program.q_stop
-        ops = np.ascontiguousarray(program.native_ops)
-        out_slots = program.output_slots.astype(np.int32)
-        d_slots = program.d_slots.astype(np.int32)
-        num_flops = len(d_slots)
-        nthreads = kernel.threads
-
-        values = np.zeros((program.num_slots, num_words), dtype=np.uint64)
-        if len(program.ones_rows):
-            values[program.ones_rows, :] = _ONES
-        out_diff = np.zeros(num_words, dtype=np.uint64)
-        state_diff = np.zeros(num_words, dtype=np.uint64)
-        d_scratch = np.empty(
-            num_flops * (num_words + nthreads), dtype=np.uint64
+        values, run_cycle, out_diff, state_diff = _bind_kernel(
+            kernel, program, num_words, masks
         )
+        fail_sorted = np.full(num_faults, -1, dtype=np.int64)
+        vanish_sorted = np.full(num_faults, -1, dtype=np.int64)
 
         # per packed position: does the lane still await fail / vanish?
         not_failed = np.zeros(num_words, dtype=np.uint64)
         not_vanished = np.zeros(num_words, dtype=np.uint64)
         lane_map = np.empty(num_words * 64, dtype=np.int64)
 
-        grade_cycle = kernel.grade_cycle
         compact_rows = kernel.compact_rows
         starts = lanes.starts
         ends = lanes.ends
@@ -866,43 +541,18 @@ class FusedEngine(GradingEngine):
                 continue
             executed = cycle + 1
 
-            grade_cycle(
-                values.ctypes.data,
-                num_words,
-                0,
-                n_act,
-                ops.ctypes.data,
-                len(ops),
-                in_masks[cycle].ctypes.data,
-                program.num_inputs,
-                out_slots.ctypes.data,
-                out_masks[cycle].ctypes.data,
-                len(out_slots),
-                out_diff.ctypes.data,
-                d_slots.ctypes.data,
-                state_masks[cycle + 1].ctypes.data,
-                num_flops,
-                q_start,
-                state_diff.ctypes.data,
-                d_scratch.ctypes.data,
-            )
+            run_cycle(cycle, n_act)
 
             window_nf = not_failed[:n_act]
             newly_failed = out_diff[:n_act] & window_nf
             if newly_failed.any():
-                bits = np.unpackbits(
-                    newly_failed.view(np.uint8), bitorder="little"
-                )
-                fail_sorted[lane_map[np.nonzero(bits)[0]]] = cycle
+                fail_sorted[lane_map[_lanes_of(newly_failed)]] = cycle
                 window_nf &= ~newly_failed
 
             window_nv = not_vanished[:n_act]
             newly_vanished = ~state_diff[:n_act] & window_nv
             if newly_vanished.any():
-                bits = np.unpackbits(
-                    newly_vanished.view(np.uint8), bitorder="little"
-                )
-                hits = np.nonzero(bits)[0]
+                hits = _lanes_of(newly_vanished)
                 vanish_sorted[lane_map[hits]] = cycle
                 window_nv &= ~newly_vanished
                 # A vanished lane tracks golden forever, so it can never
@@ -919,10 +569,7 @@ class FusedEngine(GradingEngine):
             # flop rows and the fail bookkeeping to the front, remap.
             dead = packed - live
             if dead >= 64 and dead * 16 >= packed:
-                bits = np.unpackbits(
-                    window_nv.view(np.uint8), bitorder="little"
-                )
-                kept = np.nonzero(bits)[0]
+                kept = _lanes_of(window_nv)
                 compact_rows(
                     values.ctypes.data,
                     num_words,
@@ -951,80 +598,130 @@ class FusedEngine(GradingEngine):
                     )
                 not_vanished[n_act:old_n_act] = 0
                 repacks += 1
-        return executed, {"repacks": repacks, "threads": nthreads}
+
+        fail_cycle = np.empty(num_faults, dtype=np.int64)
+        vanish_cycle = np.empty(num_faults, dtype=np.int64)
+        fail_cycle[lanes.order] = fail_sorted
+        vanish_cycle[lanes.order] = vanish_sorted
+        stats = {"cycles_executed": executed, "repacks": repacks}
+        return fail_cycle, vanish_cycle, stats
 
     # ------------------------------------------------------------------
-    # fallback path: prepared full-width numpy plan
+    # other fault models: multi-flop flips, per-cycle force
+    # re-application, final-suffix vanish semantics
     # ------------------------------------------------------------------
     @staticmethod
-    def _run_plan(
+    def _grade_general(
         kernel,
         program: FusedProgram,
-        lanes: _LaneOrder,
         masks: tuple,
-        valid: np.ndarray,
-        shape: tuple,
-        fail_sorted: np.ndarray,
-        vanish_sorted: np.ndarray,
+        schedule,
+        num_cycles: int,
     ) -> tuple:
-        del kernel  # unused; same signature as _run_native
-        in_masks, out_masks, state_masks = masks
-        num_faults, num_words, num_cycles = shape
+        """Full-width grading: Python injection, one kernel call a cycle.
 
-        values, plan, out_buffer, d_buffer = _instantiate(program, num_words)
-        input_view = values[0 : program.num_inputs]
+        Persistent faults are incompatible with the SEU path's two core
+        optimizations — lane retirement (a forced lane can re-diverge)
+        and the one-shot injection XOR — so this branch runs every fault
+        lane through every cycle, re-applying the force bit-planes to the
+        held state each cycle, and tracks vanish as the start of the
+        final golden-equal suffix of the q rows. Transient (MBU)
+        schedules still early-exit once every lane has re-converged.
+        """
+        num_faults = schedule.num_faults
+        num_words = (num_faults + 63) // 64
+        num_flops = len(program.q_slots)
+        state_masks = masks[2]
+        values, run_cycle, out_diff, _ = _bind_kernel(
+            kernel, program, num_words, masks
+        )
         q_view = values[program.q_start : program.q_stop]
         q_view[:] = state_masks[0][:, None]
+        q_diff = np.empty((num_flops, num_words), dtype=np.uint64)
 
+        valid = np.full(num_words, _ONES, dtype=np.uint64)
+        if num_faults % 64:
+            valid[-1] = np.uint64((1 << (num_faults % 64)) - 1)
+
+        fail_cycle = np.full(num_faults, -1, dtype=np.int64)
+        vanish_cycle = np.full(num_faults, -1, dtype=np.int64)
         injected = np.zeros(num_words, dtype=np.uint64)
         not_failed = valid.copy()
-        not_vanished = valid.copy()
+        no_candidate = valid.copy()
 
-        bitwise_xor = np.bitwise_xor
-        bitwise_or_reduce = np.bitwise_or.reduce
-        starts = lanes.starts
-        ends = lanes.ends
-        executed = num_cycles
+        force_mask = np.zeros((num_flops, num_words), dtype=np.uint64)
+        force_set = np.zeros((num_flops, num_words), dtype=np.uint64)
+        forcing = False
+
+        activations: Dict[int, np.ndarray] = {}
+        lane_groups: Dict[int, List[int]] = {}
+        for lane, cycle in enumerate(schedule.first_active):
+            lane_groups.setdefault(cycle, []).append(lane)
+        for cycle, lanes_at in lane_groups.items():
+            mask = np.zeros(num_words, dtype=np.uint64)
+            for lane in lanes_at:
+                mask[lane >> 6] |= np.uint64(1 << (lane & 63))
+            activations[cycle] = mask
+        last_activation = max(lane_groups) if lane_groups else -1
+
+        def apply_cycle_events(cycle: int) -> None:
+            nonlocal forcing
+            for flop_index, lane in schedule.flips.get(cycle, ()):
+                q_view[flop_index, lane >> 6] ^= np.uint64(1 << (lane & 63))
+            for flop_index, lane, value in schedule.force_on.get(cycle, ()):
+                bit = np.uint64(1 << (lane & 63))
+                force_mask[flop_index, lane >> 6] |= bit
+                if value:
+                    force_set[flop_index, lane >> 6] |= bit
+                forcing = True
+            for flop_index, lane in schedule.force_off.get(cycle, ()):
+                bit = np.uint64(1 << (lane & 63))
+                force_mask[flop_index, lane >> 6] &= ~bit
+                force_set[flop_index, lane >> 6] &= ~bit
+            if forcing:
+                np.bitwise_and(q_view, ~force_mask, out=q_view)
+                np.bitwise_or(q_view, force_set, out=q_view)
+
+        def update_vanish(cycle: int, end_cycle: int) -> None:
+            """Vanished-by-``end_cycle`` bookkeeping: compare the state
+            held during ``cycle`` against its golden counterpart."""
+            np.bitwise_xor(q_view, state_masks[cycle][:, None], out=q_diff)
+            state_diff = np.bitwise_or.reduce(q_diff, axis=0)
+            conv = ~state_diff & injected
+            newly = conv & no_candidate
+            if newly.any():
+                vanish_cycle[_lanes_of(newly)] = end_cycle
+                np.bitwise_and(no_candidate, ~newly, out=no_candidate)
+            lost = state_diff & injected & ~no_candidate
+            if lost.any():
+                vanish_cycle[_lanes_of(lost)] = -1
+                np.bitwise_or(no_candidate, lost, out=no_candidate)
 
         for cycle in range(num_cycles):
-            if ends[cycle] > starts[cycle]:
-                sl = slice(starts[cycle], ends[cycle])
-                np.bitwise_or.at(injected, lanes.lane_word[sl], lanes.lane_bit[sl])
-                np.bitwise_xor.at(
-                    values,
-                    (lanes.lane_q[sl], lanes.lane_word[sl]),
-                    lanes.lane_bit[sl],
-                )
+            apply_cycle_events(cycle)
+            if cycle > 0:
+                update_vanish(cycle, cycle - 1)
+            mask = activations.get(cycle)
+            if mask is not None:
+                np.bitwise_or(injected, mask, out=injected)
 
-            input_view[:] = in_masks[cycle][:, None]
+            run_cycle(cycle, num_words)
 
-            _exec_plan(plan, values)
-
-            values.take(program.output_slots, 0, out_buffer)
-            bitwise_xor(out_buffer, out_masks[cycle][:, None], out=out_buffer)
-            out_diff = bitwise_or_reduce(out_buffer, axis=0)
             newly_failed = out_diff & not_failed & injected
             if newly_failed.any():
-                bits = np.unpackbits(
-                    newly_failed.view(np.uint8), bitorder="little"
-                )
-                fail_sorted[np.nonzero(bits)[0]] = cycle
-                not_failed &= ~newly_failed
+                fail_cycle[_lanes_of(newly_failed)] = cycle
+                np.bitwise_and(not_failed, ~newly_failed, out=not_failed)
 
-            values.take(program.d_slots, 0, d_buffer)
-            q_view[:] = d_buffer
-            bitwise_xor(d_buffer, state_masks[cycle + 1][:, None], out=d_buffer)
-            state_diff = bitwise_or_reduce(d_buffer, axis=0)
-            np.invert(state_diff, out=state_diff)
-            newly_vanished = state_diff & not_vanished & injected
-            if newly_vanished.any():
-                bits = np.unpackbits(
-                    newly_vanished.view(np.uint8), bitorder="little"
-                )
-                vanish_sorted[np.nonzero(bits)[0]] = cycle
-                not_vanished &= ~newly_vanished
+            if (
+                not schedule.persistent
+                and cycle >= last_activation
+                and not no_candidate.any()
+            ):
+                # Transient faults cannot re-diverge: every lane has
+                # converged and no injection remains, so fail/vanish are
+                # final — skip the tail (and the post-bench compare).
+                return fail_cycle, vanish_cycle, {"cycles_executed": cycle + 1}
 
-            if ends[cycle] == num_faults and not not_vanished.any():
-                executed = cycle + 1
-                break
-        return executed, {}
+        apply_cycle_events(num_cycles)
+        update_vanish(num_cycles, num_cycles - 1)
+        return fail_cycle, vanish_cycle, {"cycles_executed": num_cycles}

@@ -278,7 +278,7 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(out)
         assert payload["spec"]["hardening"] == "tmr"
         assert payload["spec"]["circuit"] == "b02"
         assert payload["campaign_id"].startswith("hardened-tmr-b02-")
@@ -298,7 +298,7 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(out)
         assert payload["spec"]["hardening_flops"] == [
             "ff$phase[0]", "ff$shift[1]"
         ]

@@ -48,13 +48,16 @@ class TestRun:
                 "--technique", "mask_scan",
                 "--cycles", "10",
                 "--no-store",
-                "--quiet",
                 "--json",
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        captured = capsys.readouterr()
+        # stdout is exactly one JSON document; the summary and the
+        # per-shard progress lines go to stderr
+        payload = json.loads(captured.out)
+        assert "wall clock" in captured.err
+        assert "cycles [" in captured.err
         assert payload["spec"]["circuit"] == "b01"
         assert payload["total_cycles"] > 0
         assert set(payload["classification"]) == {
@@ -142,9 +145,9 @@ class TestFaultModelFlags:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "adaptive: target half-width" in out
-        payload = json.loads(out[out.index("{"):])
+        captured = capsys.readouterr()
+        assert "adaptive: target half-width" in captured.err
+        payload = json.loads(captured.out)
         assert payload["adaptive_rounds"]
         assert payload["estimates"]["failure"]["method"] == "clopper_pearson"
 

@@ -270,6 +270,44 @@ class TestFleetGrading:
         assert workers_seen == {address_a, address_b}
 
 
+class TestConcurrentClients:
+    def test_two_clients_on_one_worker_with_a_threaded_kernel(
+        self, worker_fleet
+    ):
+        """The daemon grades each connection on its own thread, so two
+        clients sharing one worker run the native kernel concurrently.
+        With its pool two threads wide, both campaigns must still match
+        their serial digests; a hang fails on the join timeout."""
+        spec = CampaignSpec(circuit="b14", technique="time_multiplexed")
+        serial = CampaignRunner(workers=1).grade(spec).outcome_digest()
+        _, address = worker_fleet({"REPRO_FUSED_THREADS": "2"})
+        digests = [None, None]
+        errors = []
+
+        def client(index):
+            try:
+                with CampaignRunner(hosts=address, shards=4) as runner:
+                    digests[index] = runner.grade(spec).outcome_digest()
+            except Exception as error:  # noqa: BLE001 - re-raised below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=client, args=(index,), daemon=True)
+            for index in range(len(digests))
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 120
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(thread.is_alive() for thread in threads), (
+            "a client is still waiting on the worker after 120s"
+        )
+        if errors:
+            raise errors[0]
+        assert digests == [serial, serial]
+
+
 # ----------------------------------------------------------------------
 # fault tolerance
 # ----------------------------------------------------------------------
