@@ -86,8 +86,8 @@ class TestOracleSpeedContract:
         reference = grade_faults(b14, b14_bench, b14_faults, backend="numpy")
         numpy_seconds = time.perf_counter() - started
 
-        assert fused.fail_cycles == reference.fail_cycles
-        assert fused.vanish_cycles == reference.vanish_cycles
+        assert fused.fail_cycles.tolist() == reference.fail_cycles.tolist()
+        assert fused.vanish_cycles.tolist() == reference.vanish_cycles.tolist()
         if get_engine("fused").last_stats.get("native"):
             assert numpy_seconds / fused_seconds >= 5.0, (
                 f"fused {fused_seconds:.3f}s vs numpy {numpy_seconds:.3f}s"
@@ -176,8 +176,8 @@ def _standalone(argv=None) -> int:
             f"({best * 1e6 / len(faults):.3f} us/fault), "
             f"warmup {warmup:.3f}s"
         )
-        if merged.fail_cycles != reference.fail_cycles or (
-            merged.vanish_cycles != reference.vanish_cycles
+        if merged.fail_cycles.tolist() != reference.fail_cycles.tolist() or (
+            merged.vanish_cycles.tolist() != reference.vanish_cycles.tolist()
         ):
             print("ERROR: sharded runner disagrees with serial grading")
             return 1

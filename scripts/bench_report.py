@@ -112,8 +112,8 @@ def measure(circuit, bench, faults, backend: str, repeats: int) -> dict:
     return {
         "seconds": round(best, 4),
         "us_per_fault": round(best * 1e6 / len(faults), 3),
-        "fail_cycles": reference.fail_cycles,
-        "vanish_cycles": reference.vanish_cycles,
+        "fail_cycles": reference.fail_cycles.tolist(),
+        "vanish_cycles": reference.vanish_cycles.tolist(),
     }
 
 
@@ -241,8 +241,8 @@ def measure_runner_rows(
                 started = time.perf_counter()
                 merged = runner.grade(spec)
                 best = min(best, time.perf_counter() - started)
-        if merged.fail_cycles != reference["fail_cycles"] or (
-            merged.vanish_cycles != reference["vanish_cycles"]
+        if merged.fail_cycles.tolist() != reference["fail_cycles"] or (
+            merged.vanish_cycles.tolist() != reference["vanish_cycles"]
         ):
             print(
                 f"ERROR: sharded runner (workers={workers}) disagrees "

@@ -43,7 +43,12 @@ from repro.emu.timing import CycleBreakdown, EmulationTiming
 from repro.errors import CampaignError
 from repro.faults.classify import FaultClass
 from repro.faults.dictionary import FaultDictionary
-from repro.faults.model import SeuFault, exhaustive_fault_list
+from repro.faults.model import (
+    FaultArray,
+    SeuFault,
+    exhaustive_fault_list,
+    fault_columns,
+)
 from repro.netlist.netlist import Netlist
 from repro.sim.parallel import DEFAULT_BACKEND, FaultGradingResult, grade_faults
 from repro.sim.vectors import Testbench
@@ -115,14 +120,18 @@ def run_campaign(
     if scan_chains < 1:
         raise CampaignError("scan_chains must be at least 1")
 
+    if isinstance(faults, FaultArray):
+        persistent = faults.fault_type.persistent
+    else:
+        persistent = any(fault.persistent for fault in faults)
     breakdown = technique_breakdown(
         technique,
-        fault_cycles=[fault.cycle for fault in oracle.faults],
+        fault_cycles=fault_columns(faults)[0],
         fail_cycles=oracle.fail_cycles,
         vanish_cycles=oracle.vanish_cycles,
         num_cycles=testbench.num_cycles,
         scan_in_cycles=scan_in_cost(netlist.num_ffs, scan_chains),
-        persistent=any(fault.persistent for fault in faults),
+        persistent=persistent,
     )
 
     ram = ram_layout_for(
@@ -148,17 +157,6 @@ def run_campaign(
     )
 
 
-def _fault_columns(faults: Sequence[SeuFault]):
-    count = len(faults)
-    cycles = np.fromiter(
-        (fault.cycle for fault in faults), dtype=np.int64, count=count
-    )
-    flops = np.fromiter(
-        (fault.flop_index for fault in faults), dtype=np.int64, count=count
-    )
-    return cycles, flops
-
-
 def _validate_oracle(
     oracle: FaultGradingResult, faults: Sequence[SeuFault]
 ) -> None:
@@ -177,8 +175,8 @@ def _validate_oracle(
         )
     if oracle.faults is faults:
         return
-    graded_cycles, graded_flops = _fault_columns(oracle.faults)
-    wanted_cycles, wanted_flops = _fault_columns(faults)
+    graded_cycles, graded_flops = fault_columns(oracle.faults)
+    wanted_cycles, wanted_flops = fault_columns(faults)
     mismatch = (graded_cycles != wanted_cycles) | (graded_flops != wanted_flops)
     if mismatch.any():
         index = int(np.argmax(mismatch))

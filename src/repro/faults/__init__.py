@@ -2,7 +2,12 @@
 
 from repro.faults.classify import FaultClass, classification_counts, classify_outcome
 from repro.faults.dictionary import FaultDictionary, FaultRecord
-from repro.faults.model import SeuFault, exhaustive_fault_list, faults_for_flop
+from repro.faults.model import (
+    FaultArray,
+    SeuFault,
+    exhaustive_fault_list,
+    faults_for_flop,
+)
 from repro.faults.models import (
     DEFAULT_FAULT_MODEL,
     FaultModel,
@@ -25,6 +30,7 @@ __all__ = [
     "AdaptiveSampler",
     "DEFAULT_FAULT_MODEL",
     "FaultClass",
+    "FaultArray",
     "FaultDictionary",
     "FaultModel",
     "FaultRecord",

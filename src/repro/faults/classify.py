@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable
 
+import numpy as np
+
 
 class FaultClass(enum.Enum):
     """Grading verdict for a single fault."""
@@ -42,6 +44,25 @@ def classify_outcome(fail_cycle: int, vanish_cycle: int) -> FaultClass:
     if vanish_cycle != -1:
         return FaultClass.SILENT
     return FaultClass.LATENT
+
+
+#: verdict codes (the emulator's per-fault RAM verdict): index into VERDICTS
+VERDICTS = tuple(FaultClass)
+FAILURE_CODE = VERDICTS.index(FaultClass.FAILURE)
+SILENT_CODE = VERDICTS.index(FaultClass.SILENT)
+LATENT_CODE = VERDICTS.index(FaultClass.LATENT)
+
+
+def verdict_codes(fail_cycles, vanish_cycles) -> np.ndarray:
+    """:func:`classify_outcome` over outcome columns, as uint8 codes."""
+    codes = np.where(np.asarray(vanish_cycles) != -1, SILENT_CODE, LATENT_CODE)
+    codes[np.asarray(fail_cycles) != -1] = FAILURE_CODE
+    return codes.astype(np.uint8)
+
+
+def code_counts(codes: np.ndarray) -> Dict[FaultClass, int]:
+    """Verdict histogram of a code column."""
+    return dict(zip(VERDICTS, np.bincount(codes, minlength=len(VERDICTS)).tolist()))
 
 
 def classification_counts(classes: Iterable[FaultClass]) -> Dict[FaultClass, int]:

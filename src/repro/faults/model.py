@@ -14,15 +14,27 @@ its flop. The grading engines consume exactly that protocol
 :meth:`SeuFault.force_active`), so plain SEUs keep their original
 fast path while multi-bit, stuck-at and intermittent faults share the
 same campaign machinery.
+
+Populations are not lists of those objects: a :class:`FaultArray` holds
+one model's faults as cycle and flop columns and builds a fault object
+only when one is indexed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import CampaignError
 from repro.netlist.netlist import Netlist
+
+#: dtype of every cycle column — fault cycles and flops, fail/vanish
+#: outcomes — and of packed outcome bytes: little-endian int32 on every
+#: host, so workers, clients, stores and digests agree byte for byte
+CYCLE_DTYPE = np.dtype("<i4")
 
 
 @dataclass(frozen=True, order=True)
@@ -91,33 +103,115 @@ class SeuFault:
         return f"SEU({name} @ cycle {self.cycle})"
 
 
+class FaultArray(Sequence):
+    """One fault model's faults as ``<i4`` columns, cycle-major.
+
+    ``cycles[i]`` and ``flops[i]`` identify fault ``i``; ``flop_names``
+    labels flop indices and ``factory(cycle=, flop_index=, flop_name=)``
+    builds the model's fault object (:class:`SeuFault` or a subclass,
+    usually a :func:`functools.partial` carrying the model parameters).
+    Indexing builds that object on demand; slices and :meth:`take`
+    return columns, so populations, samples and shard windows cross the
+    grading and accounting layers without per-fault objects.
+    """
+
+    def __init__(
+        self,
+        cycles,
+        flops,
+        flop_names: Sequence[str],
+        factory: Callable[..., SeuFault] = SeuFault,
+    ):
+        self.cycles = np.asarray(cycles, dtype=CYCLE_DTYPE)
+        self.flops = np.asarray(flops, dtype=CYCLE_DTYPE)
+        if self.cycles.shape != self.flops.shape or self.cycles.ndim != 1:
+            raise CampaignError("fault columns must be equal-length vectors")
+        if len(self.cycles) and (self.cycles.min() < 0 or self.flops.min() < 0):
+            raise CampaignError("fault cycles and flop indices must be non-negative")
+        self.flop_names = flop_names
+        self.factory = factory
+        #: the class ``factory`` builds (partials expose it as ``func``)
+        self.fault_type = getattr(factory, "func", factory)
+
+    def __len__(self) -> int:
+        return len(self.cycles)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._with(self.cycles[index], self.flops[index])
+        flop = int(self.flops[index])
+        return self.factory(
+            cycle=int(self.cycles[index]),
+            flop_index=flop,
+            flop_name=self.flop_names[flop],
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)  # fault by fault, as lists compare
+
+    __hash__ = None  # mutable columns
+
+    def __repr__(self) -> str:
+        return f"FaultArray({len(self)} x {self.fault_type.__name__})"
+
+    def take(self, indices) -> "FaultArray":
+        """The faults at ``indices`` (any integer index array), in that order."""
+        indices = np.asarray(indices, dtype=np.intp)
+        return self._with(self.cycles[indices], self.flops[indices])
+
+    def _with(self, cycles, flops) -> "FaultArray":
+        return FaultArray(cycles, flops, self.flop_names, self.factory)
+
+
+def fault_columns(faults: Sequence[SeuFault]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(cycles, flops)`` of any fault sequence: a :class:`FaultArray`'s
+    own columns, or ``<i4`` columns read off a list of fault objects."""
+    if isinstance(faults, FaultArray):
+        return faults.cycles, faults.flops
+    count = len(faults)
+    cycles = np.fromiter((fault.cycle for fault in faults), CYCLE_DTYPE, count)
+    flops = np.fromiter((fault.flop_index for fault in faults), CYCLE_DTYPE, count)
+    return cycles, flops
+
+
+def model_population(
+    netlist: Netlist,
+    num_cycles: int,
+    factory: Callable[..., SeuFault],
+    num_starts: Optional[int] = None,
+    flop_names: Optional[List[str]] = None,
+) -> FaultArray:
+    """Every (cycle, flop) pair of ``num_cycles`` x ``num_starts`` (default:
+    every flop), cycle-major — the shape of every registered population."""
+    if num_cycles <= 0:
+        raise CampaignError("fault list needs a positive number of cycles")
+    names = flop_names if flop_names is not None else netlist.ff_names()
+    starts = len(names) if num_starts is None else num_starts
+    return FaultArray(
+        np.repeat(np.arange(num_cycles, dtype=CYCLE_DTYPE), starts),
+        np.tile(np.arange(starts, dtype=CYCLE_DTYPE), num_cycles),
+        names,
+        factory,
+    )
+
+
 def exhaustive_fault_list(
     netlist: Netlist, num_cycles: int, flop_names: Optional[List[str]] = None
-) -> List[SeuFault]:
+) -> FaultArray:
     """The complete single-fault set: every (flop, cycle) pair.
 
     Faults are ordered cycle-major — the order the time-multiplexed
     technique processes them in, so the golden state only ever advances.
     """
-    if num_cycles <= 0:
-        raise CampaignError("fault list needs a positive number of cycles")
-    names = flop_names if flop_names is not None else netlist.ff_names()
-    faults = []
-    for cycle in range(num_cycles):
-        for flop_index, name in enumerate(names):
-            faults.append(SeuFault(cycle=cycle, flop_index=flop_index, flop_name=name))
-    return faults
+    return model_population(netlist, num_cycles, SeuFault, flop_names=flop_names)
 
 
-def faults_for_flop(
-    netlist: Netlist, flop_index: int, num_cycles: int
-) -> List[SeuFault]:
+def faults_for_flop(netlist: Netlist, flop_index: int, num_cycles: int) -> FaultArray:
     """All faults targeting one flop (used for per-flop vulnerability
     reports)."""
     names = netlist.ff_names()
     if not 0 <= flop_index < len(names):
         raise CampaignError(f"no flop with index {flop_index}")
-    return [
-        SeuFault(cycle=cycle, flop_index=flop_index, flop_name=names[flop_index])
-        for cycle in range(num_cycles)
-    ]
+    return FaultArray(np.arange(num_cycles), np.full(num_cycles, flop_index), names)

@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Optional, Type
 
 from repro.errors import CampaignError
-from repro.faults.model import SeuFault
+from repro.faults.model import FaultArray
 from repro.netlist.netlist import Netlist
 
 
@@ -43,12 +43,12 @@ class FaultModel(ABC):
     transient: bool = True
 
     @abstractmethod
-    def population(self, netlist: Netlist, num_cycles: int) -> List[SeuFault]:
+    def population(self, netlist: Netlist, num_cycles: int) -> FaultArray:
         """The complete fault set for ``netlist`` over ``num_cycles``."""
 
     def population_size(self, netlist: Netlist, num_cycles: int) -> int:
-        """Size of :meth:`population` without materializing it (models
-        with a closed form override this)."""
+        """Size of :meth:`population` (two int32 columns to build; models
+        that can refuse a netlist override this with a closed form)."""
         return len(self.population(netlist, num_cycles))
 
     def describe(self) -> str:

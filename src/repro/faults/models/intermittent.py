@@ -17,10 +17,11 @@ both polarities with two runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.errors import CampaignError
-from repro.faults.model import SeuFault
+from repro.faults.model import FaultArray, SeuFault, model_population
 from repro.faults.models.base import (
     FaultModel,
     register_model_prefix,
@@ -106,27 +107,11 @@ class IntermittentModel(FaultModel):
         self.value = value
         self.name = f"intermittent:{period}:{duty}"
 
-    def population(
-        self, netlist: Netlist, num_cycles: int
-    ) -> List[IntermittentFault]:
-        if num_cycles <= 0:
-            raise CampaignError("fault list needs a positive number of cycles")
-        names = netlist.ff_names()
-        return [
-            IntermittentFault(
-                cycle=cycle,
-                flop_index=index,
-                flop_name=name,
-                value=self.value,
-                period=self.period,
-                duty=self.duty,
-            )
-            for cycle in range(num_cycles)
-            for index, name in enumerate(names)
-        ]
-
-    def population_size(self, netlist: Netlist, num_cycles: int) -> int:
-        return netlist.num_ffs * num_cycles
+    def population(self, netlist: Netlist, num_cycles: int) -> FaultArray:
+        factory = partial(
+            IntermittentFault, value=self.value, period=self.period, duty=self.duty
+        )
+        return model_population(netlist, num_cycles, factory)
 
     def describe(self) -> str:
         return (

@@ -14,10 +14,11 @@ engines' early-exit optimizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import partial
+from typing import Tuple
 
 from repro.errors import CampaignError
-from repro.faults.model import SeuFault
+from repro.faults.model import FaultArray, SeuFault, model_population
 from repro.faults.models.base import (
     FaultModel,
     register_model,
@@ -62,27 +63,18 @@ class MbuModel(FaultModel):
         self.width = width
         self.name = f"mbu:{width}"
 
-    def population(self, netlist: Netlist, num_cycles: int) -> List[MbuFault]:
-        if num_cycles <= 0:
-            raise CampaignError("fault list needs a positive number of cycles")
-        names = netlist.ff_names()
-        if len(names) < self.width:
+    def population(self, netlist: Netlist, num_cycles: int) -> FaultArray:
+        if netlist.num_ffs < self.width:
             raise CampaignError(
-                f"{netlist.name!r} has {len(names)} flops; cannot inject "
+                f"{netlist.name!r} has {netlist.num_ffs} flops; cannot inject "
                 f"{self.width}-bit MBUs"
             )
-        faults = []
-        for cycle in range(num_cycles):
-            for start in range(len(names) - self.width + 1):
-                faults.append(
-                    MbuFault(
-                        cycle=cycle,
-                        flop_index=start,
-                        flop_name=names[start],
-                        width=self.width,
-                    )
-                )
-        return faults
+        return model_population(
+            netlist,
+            num_cycles,
+            partial(MbuFault, width=self.width),
+            num_starts=netlist.num_ffs - self.width + 1,
+        )
 
     def population_size(self, netlist: Netlist, num_cycles: int) -> int:
         return max(0, netlist.num_ffs - self.width + 1) * num_cycles

@@ -18,10 +18,11 @@ it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.errors import CampaignError
-from repro.faults.model import SeuFault
+from repro.faults.model import FaultArray, SeuFault, model_population
 from repro.faults.models.base import FaultModel, register_model
 from repro.netlist.netlist import Netlist
 
@@ -64,20 +65,10 @@ class _StuckAtModel(FaultModel):
     transient = False
     value = 0
 
-    def population(self, netlist: Netlist, num_cycles: int) -> List[StuckAtFault]:
-        if num_cycles <= 0:
-            raise CampaignError("fault list needs a positive number of cycles")
-        names = netlist.ff_names()
-        return [
-            StuckAtFault(
-                cycle=cycle, flop_index=index, flop_name=name, value=self.value
-            )
-            for cycle in range(num_cycles)
-            for index, name in enumerate(names)
-        ]
-
-    def population_size(self, netlist: Netlist, num_cycles: int) -> int:
-        return netlist.num_ffs * num_cycles
+    def population(self, netlist: Netlist, num_cycles: int) -> FaultArray:
+        return model_population(
+            netlist, num_cycles, partial(StuckAtFault, value=self.value)
+        )
 
     def describe(self) -> str:
         return (

@@ -25,9 +25,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import CampaignError
 from repro.faults.classify import FaultClass, classification_counts
-from repro.faults.model import SeuFault
+from repro.faults.model import FaultArray, SeuFault, fault_columns
 from repro.util.rng import DeterministicRng
 
 SAMPLING_METHODS = ("uniform", "stratified")
@@ -39,28 +41,21 @@ CI_METHODS = ("wilson", "clopper_pearson")
 # ----------------------------------------------------------------------
 def sample_fault_list(
     faults: Sequence[SeuFault], count: int, seed: int = 0
-) -> List[SeuFault]:
+) -> Sequence[SeuFault]:
     """Sample ``count`` faults uniformly without replacement,
     deterministically.
 
     The sample is re-sorted cycle-major so campaign engines (notably
     time-mux, which walks the golden state forward) process it efficiently.
     """
-    if count <= 0:
-        raise CampaignError("sample size must be positive")
-    if count > len(faults):
-        raise CampaignError(
-            f"cannot sample {count} faults from a population of {len(faults)}"
-        )
+    _check_sample_size(faults, count)
     rng = DeterministicRng(seed).fork("fault-sample")
-    chosen = rng.sample(list(faults), count)
-    chosen.sort()
-    return chosen
+    return _take_sorted(faults, rng.sample(range(len(faults)), count))
 
 
 def stratified_sample_fault_list(
     faults: Sequence[SeuFault], count: int, seed: int = 0
-) -> List[SeuFault]:
+) -> Sequence[SeuFault]:
     """Sample ``count`` faults stratified by flip-flop.
 
     Uniform sampling can leave rarely-hit flops unrepresented in small
@@ -72,15 +67,16 @@ def stratified_sample_fault_list(
     perturb other strata. The result is re-sorted cycle-major like the
     uniform sampler.
     """
-    if count <= 0:
-        raise CampaignError("sample size must be positive")
-    if count > len(faults):
-        raise CampaignError(
-            f"cannot sample {count} faults from a population of {len(faults)}"
-        )
-    strata: Dict[int, List[SeuFault]] = {}
-    for fault in faults:
-        strata.setdefault(fault.flop_index, []).append(fault)
+    _check_sample_size(faults, count)
+    flops = fault_columns(faults)[1]
+    # each stratum's population positions, in population order
+    by_flop = np.argsort(flops, kind="stable")
+    sizes = np.bincount(flops)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    strata = {
+        int(flop): by_flop[bounds[flop] : bounds[flop + 1]]
+        for flop in np.flatnonzero(sizes)
+    }
 
     total = len(faults)
     quotas: Dict[int, int] = {}
@@ -113,15 +109,39 @@ def stratified_sample_fault_list(
                 spill -= 1
 
     rng = DeterministicRng(seed)
-    chosen: List[SeuFault] = []
+    chosen: List[np.ndarray] = []
     for flop_index in sorted(strata):
         quota = quotas[flop_index]
         if not quota:
             continue
         stream = rng.fork(f"fault-stratum-{flop_index}")
-        chosen.extend(stream.sample(strata[flop_index], quota))
-    chosen.sort()
-    return chosen
+        stratum = strata[flop_index]
+        chosen.append(stratum[stream.sample(range(len(stratum)), quota)])
+    return _take_sorted(faults, np.concatenate(chosen))
+
+
+def _check_sample_size(faults: Sequence[SeuFault], count: int) -> None:
+    if count <= 0:
+        raise CampaignError("sample size must be positive")
+    if count > len(faults):
+        raise CampaignError(
+            f"cannot sample {count} faults from a population of {len(faults)}"
+        )
+
+
+def _take_sorted(faults: Sequence[SeuFault], positions) -> Sequence[SeuFault]:
+    """The faults at ``positions``, re-sorted cycle-major (then by flop).
+
+    ``rng.sample(range(n), k)`` draws the positions ``rng.sample(faults,
+    k)`` would, so samples match the object-list sampler exactly; for
+    one model's faults the (cycle, flop) order is the dataclass order.
+    """
+    positions = np.asarray(positions, dtype=np.intp)
+    cycles, flops = fault_columns(faults)
+    order = positions[np.lexsort((flops[positions], cycles[positions]))]
+    if isinstance(faults, FaultArray):
+        return faults.take(order)
+    return [faults[index] for index in order]
 
 
 def draw_sample(
@@ -129,7 +149,7 @@ def draw_sample(
     count: int,
     seed: int = 0,
     method: str = "uniform",
-) -> List[SeuFault]:
+) -> Sequence[SeuFault]:
     """Dispatch to a named sampling method."""
     if method == "uniform":
         return sample_fault_list(faults, count, seed=seed)

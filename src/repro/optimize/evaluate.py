@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.faults.classify import FaultClass
+import numpy as np
+
 from repro.faults.sampling import SampleEstimate
 from repro.hardening import get_hardening_scheme
 from repro.optimize.assignment import HardeningAssignment
@@ -142,16 +143,9 @@ class Evaluator:
             oracle = self.runner.grade(spec)
             sampled = oracle.num_faults < population
         detected_flops = self._detected_flops(assignment)
-        flop_names = netlist.ff_names()
-        failures = detected = 0
-        for fault, verdict in zip(oracle.faults, oracle.verdicts()):
-            if verdict is not FaultClass.FAILURE:
-                continue
-            name = fault.flop_name or flop_names[fault.flop_index]
-            if name in detected_flops:
-                detected += 1
-            else:
-                failures += 1
+        per_flop = oracle.to_dictionary().per_flop_failures()
+        detected = sum(per_flop[name] for name in detected_flops if name in per_flop)
+        failures = sum(per_flop.values()) - detected
         estimate: Optional[SampleEstimate] = None
         if sampled:
             estimate = SampleEstimate(
@@ -216,17 +210,13 @@ class Evaluator:
         flop name, keeping the ranking deterministic.
         """
         spec = replace(self.base, sampling="stratified")
-        oracle = self.runner.grade(spec)
-        counts: Dict[str, List[int]] = {}
-        for fault, verdict in zip(oracle.faults, oracle.verdicts()):
-            flop = fault.flop_name or f"flop[{fault.flop_index}]"
-            entry = counts.setdefault(flop, [0, 0])
-            entry[0] += 1
-            if verdict is FaultClass.FAILURE:
-                entry[1] += 1
+        dictionary = self.runner.grade(spec).to_dictionary()
+        sampled = np.bincount(dictionary.flops, minlength=len(dictionary.flop_names))
+        failures = dictionary.per_flop_failures()
         ranks = [
-            FlopRank(flop=flop, faults=faults, failures=failures)
-            for flop, (faults, failures) in counts.items()
+            FlopRank(flop=flop, faults=faults, failures=failures[flop])
+            for flop, faults in zip(dictionary.flop_names, sampled.tolist())
+            if faults
         ]
         ranks.sort(key=lambda rank: (-rank.failure_rate, rank.flop))
         return ranks

@@ -294,7 +294,7 @@ class CampaignRunner:
                 )
             if self.on_shard is not None:
                 self.on_shard(record, len(done), len(windows))
-        return scenario, self._merge(spec, scenario, windows, done)
+        return scenario, self._merge(scenario, windows, done)
 
     def _grade_shards(
         self,
@@ -311,42 +311,14 @@ class CampaignRunner:
 
     def _merge(
         self,
-        spec: CampaignSpec,
         scenario: Scenario,
         windows: Sequence[ShardWindow],
         done: Dict[int, ShardRecord],
     ) -> FaultGradingResult:
         """Concatenate shard outcomes in fault-list order, verified."""
-        fail: List[int] = []
-        vanish: List[int] = []
-        cycles = worker.injection_cycles(spec)
-        for window in windows:
-            record = done.get(window.index)
-            if record is None:
-                raise CampaignError(
-                    f"shard {window.index} of {spec.campaign_id} missing "
-                    "after grading"
-                )
-            lo, hi = worker.window_slice(
-                cycles, window.start_cycle, window.end_cycle
-            )
-            if (
-                record.start_cycle != window.start_cycle
-                or record.end_cycle != window.end_cycle
-                or record.num_faults != hi - lo
-            ):
-                raise CampaignError(
-                    f"stored shard {window.index} of {spec.campaign_id} "
-                    "disagrees with the current shard plan; delete the "
-                    "store directory to regrade"
-                )
-            fail.extend(record.fail_cycles)
-            vanish.extend(record.vanish_cycles)
-        if len(fail) != len(scenario.faults):
-            raise CampaignError(
-                f"merged shards cover {len(fail)} faults, campaign has "
-                f"{len(scenario.faults)}"
-            )
+        fail, vanish = worker.merge_windows(
+            scenario.faults, [(w.start_cycle, w.end_cycle) for w in windows], done
+        )
         compiled = compiled_for(scenario.netlist)
         return FaultGradingResult(
             faults=scenario.faults,

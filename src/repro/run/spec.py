@@ -67,7 +67,7 @@ class Scenario:
 
     netlist: Netlist
     testbench: Testbench
-    faults: List[SeuFault]
+    faults: Sequence[SeuFault]
 
 
 def default_testbench_for(
@@ -304,7 +304,7 @@ class CampaignSpec:
             netlist, self.resolved_cycles()
         )
 
-    def build_faults(self, netlist: Netlist) -> List[SeuFault]:
+    def build_faults(self, netlist: Netlist) -> Sequence[SeuFault]:
         faults = self.fault_model_obj().population(
             netlist, self.resolved_cycles()
         )

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import json
 import os
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import CampaignError
+from repro.faults.model import CYCLE_DTYPE
 
 #: Bumped to 2 when the manifest gained the ``fault`` section (fault
 #: model + sampling identity). Older stores predate the fault-model
@@ -52,12 +54,16 @@ class ShardRecord:
     start_cycle: int
     end_cycle: int
     num_faults: int
-    fail_cycles: List[int] = field(default_factory=list)
-    vanish_cycles: List[int] = field(default_factory=list)
+    fail_cycles: np.ndarray = ()
+    vanish_cycles: np.ndarray = ()
     engine: str = ""
     elapsed_s: float = 0.0
     worker: str = ""
     attempts: int = 1
+
+    def __post_init__(self) -> None:
+        self.fail_cycles = self._cycle_array(self.fail_cycles)
+        self.vanish_cycles = self._cycle_array(self.vanish_cycles)
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -66,8 +72,8 @@ class ShardRecord:
                 "start_cycle": self.start_cycle,
                 "end_cycle": self.end_cycle,
                 "num_faults": self.num_faults,
-                "fail_cycles": self.fail_cycles,
-                "vanish_cycles": self.vanish_cycles,
+                "fail_cycles": self._cycle_array(self.fail_cycles).tolist(),
+                "vanish_cycles": self._cycle_array(self.vanish_cycles).tolist(),
                 "engine": self.engine,
                 "elapsed_s": round(self.elapsed_s, 6),
                 "worker": self.worker,
@@ -77,14 +83,19 @@ class ShardRecord:
         )
 
     @staticmethod
-    def _cycle_list(value) -> List[int]:
-        """Cycle outcomes, from JSON lists or the workers' packed-int32
-        IPC form (:func:`repro.run.worker.grade_window`)."""
+    def _cycle_array(value) -> np.ndarray:
+        """Cycle outcomes as an ``<i4`` column, from JSON lists, arrays or
+        the workers' packed little-endian int32 IPC form
+        (:func:`repro.run.worker.grade_window`)."""
         if isinstance(value, (bytes, bytearray)):
-            unpacked = array("i")
-            unpacked.frombytes(value)
-            return unpacked.tolist()
-        return [int(x) for x in value]
+            return np.frombuffer(value, dtype=CYCLE_DTYPE)
+        try:
+            cycles = np.asarray(value, dtype=CYCLE_DTYPE)
+        except OverflowError:
+            raise ValueError("shard cycle outside the int32 range") from None
+        if cycles.ndim != 1:
+            raise ValueError("shard cycles must be a flat list")
+        return cycles
 
     @classmethod
     def from_json_obj(cls, obj: Dict) -> "ShardRecord":
@@ -93,8 +104,8 @@ class ShardRecord:
             start_cycle=int(obj["start_cycle"]),
             end_cycle=int(obj["end_cycle"]),
             num_faults=int(obj["num_faults"]),
-            fail_cycles=cls._cycle_list(obj["fail_cycles"]),
-            vanish_cycles=cls._cycle_list(obj["vanish_cycles"]),
+            fail_cycles=obj["fail_cycles"],
+            vanish_cycles=obj["vanish_cycles"],
             engine=str(obj.get("engine", "")),
             elapsed_s=float(obj.get("elapsed_s", 0.0)),
             worker=str(obj.get("worker", "")),

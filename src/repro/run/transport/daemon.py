@@ -98,8 +98,8 @@ class WorkerDaemon:
         self._server: Optional[socket.socket] = None
         self._stop = threading.Event()
         self._state_lock = threading.Lock()
-        #: campaign id -> (scenario, injection-cycle list)
-        self._scenarios: Dict[str, Tuple[Scenario, list]] = {}
+        #: campaign id -> resolved scenario
+        self._scenarios: Dict[str, Scenario] = {}
         self.stats: Dict[str, int] = {
             "connections": 0,
             "campaigns_prepared": 0,
@@ -191,7 +191,7 @@ class WorkerDaemon:
     # ------------------------------------------------------------------
     def _scenario_from_artifacts(
         self, header: Dict, netlist_blob: bytes, stimulus_blob: bytes
-    ) -> Tuple[Scenario, list]:
+    ) -> Scenario:
         netlist_text = netlist_blob.decode("utf-8")
         if netlist_text_digest(netlist_text) != header["netlist_digest"]:
             raise CampaignError(
@@ -202,9 +202,7 @@ class WorkerDaemon:
             raise CampaignError(
                 "stimulus payload does not match its announced digest"
             )
-        scenario = scenario_from_wire(netlist_text, testbench, header)
-        cycles = [fault.cycle for fault in scenario.faults]
-        return scenario, cycles
+        return scenario_from_wire(netlist_text, testbench, header)
 
     def _prepare(self, conn: "_Connection", header: Dict) -> None:
         if header.get("protocol") != wire.PROTOCOL_VERSION:
@@ -252,7 +250,7 @@ class WorkerDaemon:
                         blobs: Dict[str, bytes]) -> None:
         campaign_id = str(header["campaign_id"])
         with _Heartbeat(conn.sock, conn.send_lock):
-            scenario, cycles = self._scenario_from_artifacts(
+            scenario = self._scenario_from_artifacts(
                 header, blobs["netlist"], blobs["stimulus"]
             )
             # Prewarm exactly like a local pool worker: compile, golden
@@ -261,7 +259,7 @@ class WorkerDaemon:
         with self._state_lock:
             while len(self._scenarios) >= MAX_CACHED_SCENARIOS:
                 del self._scenarios[next(iter(self._scenarios))]
-            self._scenarios[campaign_id] = (scenario, cycles)
+            self._scenarios[campaign_id] = scenario
             self.stats["campaigns_prepared"] += 1
         conn.active_campaign = campaign_id
         conn.pending_prepare = None
@@ -300,13 +298,12 @@ class WorkerDaemon:
         if conn.active_campaign is None:
             raise CampaignError("shard frame before a successful prepare")
         with self._state_lock:
-            entry = self._scenarios.get(conn.active_campaign)
-        if entry is None:
+            scenario = self._scenarios.get(conn.active_campaign)
+        if scenario is None:
             raise CampaignError(
                 f"campaign {conn.active_campaign} evicted from this "
                 "worker's memo; re-prepare"
             )
-        scenario, cycles = entry
         index = int(header["index"])
         start_cycle = int(header["start_cycle"])
         end_cycle = int(header["end_cycle"])
@@ -316,7 +313,6 @@ class WorkerDaemon:
                 time.sleep(delay)
             record = worker.grade_scenario_window(
                 scenario,
-                cycles,
                 index,
                 start_cycle,
                 end_cycle,

@@ -4,9 +4,9 @@ Everything a ``repro worker`` daemon and the :class:`TcpTransport`
 client exchange travels in *frames*: a 4-byte big-endian payload length,
 then the payload — a compact JSON header line (the message kind plus
 small scalar fields), a ``\\n`` separator, and an optional binary blob.
-Shard outcomes reuse the packed-int32 encoding the local process pool
-ships across its IPC boundary (PR 6), so a 10k-fault shard's results are
-one 40 KB buffer, not 10k JSON numbers.
+Shard outcomes reuse the packed little-endian int32 encoding the local
+process pool ships across its IPC boundary, so a 10k-fault shard's
+results are one 40 KB buffer, not 10k JSON numbers.
 
 The conversation is digest-first: ``prepare`` names the campaign's
 netlist and stimulus by content digest only, and the worker answers
@@ -38,10 +38,12 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from array import array
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import CampaignError
+from repro.faults.model import CYCLE_DTYPE
 from repro.sim.vectors import Testbench
 
 #: bump on any incompatible framing or message-shape change; both sides
@@ -122,15 +124,14 @@ def recv_msg(sock: socket.socket) -> Tuple[str, Dict, bytes]:
 # ----------------------------------------------------------------------
 # payload codecs
 # ----------------------------------------------------------------------
-def pack_cycles(cycles: List[int]) -> bytes:
-    """Cycle outcomes as packed int32 bytes (PR 6's shard IPC form)."""
-    return array("i", map(int, cycles)).tobytes()
+def pack_cycles(cycles) -> bytes:
+    """Cycle outcomes as packed little-endian int32 bytes (the shard IPC
+    and ``result`` blob form), whatever the host's byte order."""
+    return np.asarray(cycles, dtype=CYCLE_DTYPE).tobytes()
 
 
 def unpack_cycles(blob: bytes) -> List[int]:
-    values = array("i")
-    values.frombytes(blob)
-    return values.tolist()
+    return np.frombuffer(blob, dtype=CYCLE_DTYPE).tolist()
 
 
 def pack_testbench(testbench: Testbench) -> bytes:

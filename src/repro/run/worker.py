@@ -5,8 +5,8 @@ netlist, testbench, full fault list — is rebuilt from the spec once per
 process and memoized here, so the PR-1 session caches
 (:mod:`repro.sim.cache`: compiled netlist, golden trace, fused program)
 are warm for every subsequent shard the worker grades. Workers return
-plain ints/lists only; nothing simulator-side crosses the process
-boundary.
+plain ints and packed outcome bytes only; nothing simulator-side crosses
+the process boundary.
 
 The same functions run in-process when the runner is configured with a
 single worker, so serial and pooled execution share one code path.
@@ -16,21 +16,21 @@ from __future__ import annotations
 
 import sys
 import time
-from array import array
-from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.errors import CampaignError
+from repro.faults.model import CYCLE_DTYPE, SeuFault, fault_columns
 from repro.run.spec import CampaignSpec, Scenario
+from repro.run.store import ShardRecord
 
 #: per-process scenario memo: campaign id -> resolved scenario
 _SCENARIOS: Dict[str, Scenario] = {}
-#: companion memo: campaign id -> the faults' injection cycles (the
-#: bisection key for window slicing, built once per scenario)
-_CYCLES: Dict[str, List[int]] = {}
-#: memo bound: a scenario pins its full fault list (34,400 objects for
-#: b14), so long-lived processes sweeping many scenarios evict oldest-
-#: first rather than growing without bound. Rebuilding an evicted
-#: scenario is deterministic, so eviction only costs time.
+#: memo bound: a scenario pins its netlist, testbench and fault columns,
+#: so long-lived processes sweeping many scenarios evict oldest-first
+#: rather than growing without bound. Rebuilding an evicted scenario is
+#: deterministic, so eviction only costs time.
 MAX_CACHED_SCENARIOS = 8
 
 
@@ -52,12 +52,9 @@ def scenario_for(spec: CampaignSpec) -> Scenario:
     scenario = _SCENARIOS.get(key)
     if scenario is None:
         while len(_SCENARIOS) >= MAX_CACHED_SCENARIOS:
-            oldest = next(iter(_SCENARIOS))
-            del _SCENARIOS[oldest]
-            del _CYCLES[oldest]
+            del _SCENARIOS[next(iter(_SCENARIOS))]
         scenario = spec.scenario()
         _SCENARIOS[key] = scenario
-        _CYCLES[key] = [fault.cycle for fault in scenario.faults]
     return scenario
 
 
@@ -94,31 +91,62 @@ def prewarm_scenario(scenario: Scenario) -> None:
     native_kernel()
 
 
-def injection_cycles(spec: CampaignSpec) -> List[int]:
-    """The (memoized) injection cycle of every fault, fault-list order."""
-    scenario_for(spec)
-    return _CYCLES[spec.campaign_id]
-
-
 def clear_scenarios() -> None:
     """Drop the per-process scenario memo (tests use this)."""
     _SCENARIOS.clear()
-    _CYCLES.clear()
 
 
 def window_slice(
-    cycles: List[int], start_cycle: int, end_cycle: int
+    faults: Sequence[SeuFault], start_cycle: int, end_cycle: int
 ) -> Tuple[int, int]:
     """Fault-list slice [lo, hi) covering one contiguous cycle window.
 
-    ``cycles`` is the faults' injection cycles in fault-list order.
     Fault lists are cycle-major sorted (exhaustive lists by
     construction, sampled lists re-sorted by
     :func:`repro.faults.sampling.sample_fault_list`), so a cycle window
     is a contiguous slice and shard concatenation reproduces the serial
     fault order exactly.
     """
-    return bisect_left(cycles, start_cycle), bisect_left(cycles, end_cycle)
+    cycles = fault_columns(faults)[0]
+    lo, hi = np.searchsorted(cycles, (start_cycle, end_cycle), side="left")
+    return int(lo), int(hi)
+
+
+def merge_windows(
+    faults: Sequence[SeuFault],
+    windows: Sequence[Tuple[int, int]],
+    records: Dict[int, ShardRecord],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate shard outcomes (``records`` keyed by window index) into
+    fault-list-order ``(fail_cycles, vanish_cycles)`` columns, checking
+    every record against its ``(start_cycle, end_cycle)`` window."""
+    fails = [np.empty(0, dtype=CYCLE_DTYPE)]
+    vanishes = [np.empty(0, dtype=CYCLE_DTYPE)]
+    for index, (start, end) in enumerate(windows):
+        record = records.get(index)
+        if record is None:
+            raise CampaignError(
+                f"incomplete store: shard {index} of {len(windows)} missing "
+                "(resume the campaign to finish grading first)"
+            )
+        lo, hi = window_slice(faults, start, end)
+        if (record.start_cycle, record.end_cycle, record.num_faults) != (
+            start, end, hi - lo
+        ):
+            raise CampaignError(
+                f"shard {index} holds {record.num_faults} faults of cycles "
+                f"[{record.start_cycle}, {record.end_cycle}) but the shard "
+                f"plan puts {hi - lo} in [{start}, {end}); delete the store "
+                "directory to regrade"
+            )
+        fails.append(record.fail_cycles)
+        vanishes.append(record.vanish_cycles)
+    fail, vanish = np.concatenate(fails), np.concatenate(vanishes)
+    if len(fail) != len(faults):
+        raise CampaignError(
+            f"merged shards cover {len(fail)} faults, campaign has {len(faults)}"
+        )
+    return fail, vanish
 
 
 def grade_window(
@@ -129,7 +157,6 @@ def grade_window(
     scenario = scenario_for(spec)
     return grade_scenario_window(
         scenario,
-        injection_cycles(spec),
         index,
         start_cycle,
         end_cycle,
@@ -139,7 +166,6 @@ def grade_window(
 
 def grade_scenario_window(
     scenario: Scenario,
-    cycles: List[int],
     index: int,
     start_cycle: int,
     end_cycle: int,
@@ -147,14 +173,12 @@ def grade_scenario_window(
 ) -> Dict:
     """Grade one cycle window of an already-resolved scenario.
 
-    The shared core of pool-worker and TCP-daemon shard grading:
-    ``cycles`` is the faults' injection cycles in fault-list order (the
-    window-slicing key). Returns the plain record dict both the store
-    and the wire protocol consume.
+    The shared core of pool-worker and TCP-daemon shard grading. Returns
+    the plain record dict both the store and the wire protocol consume.
     """
     from repro.sim.parallel import grade_faults
 
-    lo, hi = window_slice(cycles, start_cycle, end_cycle)
+    lo, hi = window_slice(scenario.faults, start_cycle, end_cycle)
     window_faults = scenario.faults[lo:hi]
     started = time.perf_counter()
     if window_faults:
@@ -165,11 +189,11 @@ def grade_scenario_window(
             backend=engine,
         )
         # Outcomes cross the process (or network) boundary as packed
-        # int32 bytes: one contiguous buffer pickles in microseconds
-        # where a list of thousands of Python ints costs milliseconds
-        # per shard — measurable against sub-100ms campaigns.
-        fail = array("i", map(int, result.fail_cycles)).tobytes()
-        vanish = array("i", map(int, result.vanish_cycles)).tobytes()
+        # little-endian int32 bytes (the result's own columns): one
+        # contiguous buffer pickles in microseconds where a list of
+        # thousands of Python ints costs milliseconds per shard.
+        fail = result.fail_cycles.tobytes()
+        vanish = result.vanish_cycles.tobytes()
     else:  # a cycle window no sampled fault landed in
         fail, vanish = b"", b""
     return {

@@ -32,6 +32,7 @@ refused with a nameable error, never silently migrated.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sqlite3
@@ -39,8 +40,11 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import CampaignError, ReproError, ServiceError
-from repro.faults.classify import FaultClass
+from repro.faults.classify import VERDICTS, FaultClass, verdict_codes
+from repro.faults.model import CYCLE_DTYPE, FaultArray
 from repro.run.spec import CampaignSpec
 from repro.run.store import ResultsStore, ShardRecord, discover_stores
 
@@ -347,27 +351,27 @@ class ResultsDB:
     def record_outcomes(
         self,
         campaign_id: str,
-        faults,
+        faults: FaultArray,
         fail_cycles: Iterable[int],
         vanish_cycles: Iterable[int],
     ) -> int:
-        """Bulk-insert per-fault outcomes (replacing any stale rows)."""
-        from repro.faults.classify import classify_outcome
-
-        rows = [
-            (
-                campaign_id,
-                index,
-                fault.flop_name or f"flop[{fault.flop_index}]",
-                fault.cycle,
-                int(fail),
-                int(vanish),
-                classify_outcome(int(fail), int(vanish)).value,
+        """Bulk-insert per-fault outcomes (replacing any stale rows),
+        built from the fault and outcome columns."""
+        fail = np.asarray(fail_cycles, dtype=CYCLE_DTYPE)
+        vanish = np.asarray(vanish_cycles, dtype=CYCLE_DTYPE)
+        names = [name or f"flop[{i}]" for i, name in enumerate(faults.flop_names)]
+        labels = [verdict.value for verdict in VERDICTS]
+        rows = list(
+            zip(
+                itertools.repeat(campaign_id),
+                itertools.count(),
+                [names[flop] for flop in faults.flops.tolist()],
+                faults.cycles.tolist(),
+                fail.tolist(),
+                vanish.tolist(),
+                [labels[code] for code in verdict_codes(fail, vanish).tolist()],
             )
-            for index, (fault, fail, vanish) in enumerate(
-                zip(faults, fail_cycles, vanish_cycles)
-            )
-        ]
+        )
         with self._lock, self._conn:
             self._conn.execute(
                 "DELETE FROM fault_outcomes WHERE campaign_id=?",
@@ -467,32 +471,10 @@ class ResultsDB:
             scenario = worker.scenario_for(spec)
         except ReproError as error:
             return self._refusal(directory_id, f"scenario rebuild failed: {error}")
-        cycles = worker.injection_cycles(spec)
-        fail: List[int] = []
-        vanish: List[int] = []
-        for index, (start, end) in enumerate(windows):
-            record = records.get(index)
-            if record is None:
-                return self._refusal(
-                    directory_id,
-                    f"incomplete store: shard {index} of {len(windows)} "
-                    "missing (resume the campaign to finish grading first)",
-                )
-            lo, hi = worker.window_slice(cycles, start, end)
-            if record.num_faults != hi - lo:
-                return self._refusal(
-                    directory_id,
-                    f"shard {index} holds {record.num_faults} faults but the "
-                    f"rebuilt population puts {hi - lo} in its window",
-                )
-            fail.extend(record.fail_cycles)
-            vanish.extend(record.vanish_cycles)
-        if len(fail) != len(scenario.faults):
-            return self._refusal(
-                directory_id,
-                f"merged shards cover {len(fail)} faults, campaign has "
-                f"{len(scenario.faults)}",
-            )
+        try:
+            fail, vanish = worker.merge_windows(scenario.faults, windows, records)
+        except CampaignError as error:
+            return self._refusal(directory_id, str(error))
 
         from repro.sim.parallel import FaultGradingResult
 

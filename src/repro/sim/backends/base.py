@@ -15,6 +15,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, List, Sequence, Tuple, Type
 
+import numpy as np
+
 from repro.errors import CampaignError
 from repro.faults.model import SeuFault
 from repro.sim.compile import CompiledNetlist
@@ -47,8 +49,9 @@ class GradingEngine(ABC):
         testbench: Testbench,
         faults: Sequence[SeuFault],
         golden: GoldenTrace,
-    ) -> Tuple[List[int], List[int]]:
-        """Return ``(fail_cycles, vanish_cycles)`` in fault-list order."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(fail_cycles, vanish_cycles)`` as int32 arrays in
+        fault-list order."""
 
 
 _REGISTRY: Dict[str, GradingEngine] = {}

@@ -1,9 +1,10 @@
 """The dependency-free bigint grading engine: one fault per int bit.
 
-Nets are arbitrary-precision Python ints, one fault per bit position. This
-engine needs nothing beyond the standard library, which makes it the
-trusted cross-check for the numpy-based engines and the natural choice for
-small runs in constrained environments.
+Nets are arbitrary-precision Python ints, one fault per bit position. Its
+simulation needs nothing beyond the standard library (numpy only holds
+the returned outcome columns), which makes it the trusted cross-check
+for the numpy-based engines and the natural choice for small runs in
+constrained environments.
 
 Plain SEU campaigns take the original loop verbatim; other fault models
 run the generic branch (multi-flop flips, per-cycle force re-application,
@@ -13,6 +14,8 @@ final-suffix vanish semantics) — see :mod:`repro.sim.inject`.
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.faults.model import SeuFault
 from repro.sim.backends.base import GradingEngine, register_engine
@@ -102,11 +105,14 @@ class BigintEngine(GradingEngine):
         testbench: Testbench,
         faults: Sequence[SeuFault],
         golden: GoldenTrace,
-    ) -> Tuple[List[int], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         schedule = schedule_for(faults, testbench.num_cycles, compiled.num_flops)
         if schedule.simple:
-            return self._grade_simple(compiled, testbench, faults, golden)
-        return self._grade_general(compiled, testbench, golden, schedule)
+            fail, vanish = self._grade_simple(compiled, testbench, faults, golden)
+        else:
+            fail, vanish = self._grade_general(compiled, testbench, golden, schedule)
+        # the simulation itself is pure Python; only the result is a column
+        return np.array(fail, dtype=np.int32), np.array(vanish, dtype=np.int32)
 
     # ------------------------------------------------------------------
     # the original SEU loop (one-shot XOR, first-match vanish)

@@ -44,7 +44,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.faults.model import SeuFault
+from repro.faults.model import SeuFault, fault_columns
 from repro.sim.backends import numpy_engine as _numpy_engine  # noqa: F401
 from repro.sim.backends._native import MAX_THREADS, native_kernel
 from repro.sim.backends.base import GradingEngine, get_engine, register_engine
@@ -331,15 +331,7 @@ class _LaneOrder:
     """
 
     def __init__(self, program: FusedProgram, faults, num_cycles: int):
-        num_faults = len(faults)
-        cycles = np.fromiter(
-            (fault.cycle for fault in faults), dtype=np.int64, count=num_faults
-        )
-        flop_indices = np.fromiter(
-            (fault.flop_index for fault in faults),
-            dtype=np.int64,
-            count=num_faults,
-        )
+        cycles, flop_indices = fault_columns(faults)
         self.order = np.argsort(cycles, kind="stable")
         sorted_cycles = cycles[self.order]
         self.lane_q = program.q_slots[flop_indices[self.order]]
@@ -417,7 +409,7 @@ class FusedEngine(GradingEngine):
         testbench: Testbench,
         faults: Sequence[SeuFault],
         golden: GoldenTrace,
-    ) -> Tuple[List[int], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         kernel = native_kernel()
         if kernel is None:
             fallback = get_engine("numpy")
@@ -445,7 +437,7 @@ class FusedEngine(GradingEngine):
             "threads": kernel.threads,
             **stats,
         }
-        return fail_cycle.tolist(), vanish_cycle.tolist()
+        return fail_cycle, vanish_cycle
 
     # ------------------------------------------------------------------
     # plain SEU lists: a compacting packed lane window
@@ -479,8 +471,8 @@ class FusedEngine(GradingEngine):
         values, run_cycle, out_diff, state_diff = _bind_kernel(
             kernel, program, num_words, masks
         )
-        fail_sorted = np.full(num_faults, -1, dtype=np.int64)
-        vanish_sorted = np.full(num_faults, -1, dtype=np.int64)
+        fail_sorted = np.full(num_faults, -1, dtype=np.int32)
+        vanish_sorted = np.full(num_faults, -1, dtype=np.int32)
 
         # per packed position: does the lane still await fail / vanish?
         not_failed = np.zeros(num_words, dtype=np.uint64)
@@ -599,8 +591,8 @@ class FusedEngine(GradingEngine):
                 not_vanished[n_act:old_n_act] = 0
                 repacks += 1
 
-        fail_cycle = np.empty(num_faults, dtype=np.int64)
-        vanish_cycle = np.empty(num_faults, dtype=np.int64)
+        fail_cycle = np.empty(num_faults, dtype=np.int32)
+        vanish_cycle = np.empty(num_faults, dtype=np.int32)
         fail_cycle[lanes.order] = fail_sorted
         vanish_cycle[lanes.order] = vanish_sorted
         stats = {"cycles_executed": executed, "repacks": repacks}
@@ -643,8 +635,8 @@ class FusedEngine(GradingEngine):
         if num_faults % 64:
             valid[-1] = np.uint64((1 << (num_faults % 64)) - 1)
 
-        fail_cycle = np.full(num_faults, -1, dtype=np.int64)
-        vanish_cycle = np.full(num_faults, -1, dtype=np.int64)
+        fail_cycle = np.full(num_faults, -1, dtype=np.int32)
+        vanish_cycle = np.full(num_faults, -1, dtype=np.int32)
         injected = np.zeros(num_words, dtype=np.uint64)
         not_failed = valid.copy()
         no_candidate = valid.copy()

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.model import SeuFault
+from repro.faults.model import SeuFault, fault_columns
 from repro.sim.backends.base import GradingEngine, register_engine
 from repro.sim.compile import (
     OP_AND,
@@ -108,7 +108,7 @@ class NumpyEngine(GradingEngine):
         testbench: Testbench,
         faults: Sequence[SeuFault],
         golden: GoldenTrace,
-    ) -> Tuple[List[int], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         schedule = schedule_for(faults, testbench.num_cycles, compiled.num_flops)
         if schedule.simple:
             return self._grade_simple(compiled, testbench, faults, golden)
@@ -123,30 +123,30 @@ class NumpyEngine(GradingEngine):
         testbench: Testbench,
         faults: Sequence[SeuFault],
         golden: GoldenTrace,
-    ) -> Tuple[List[int], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         num_faults = len(faults)
         num_words = (num_faults + 63) // 64
         ones = _ONES
 
         values = np.zeros((compiled.num_slots, num_words), dtype=np.uint64)
 
-        # Group injections by cycle: cycle -> list of (q_slot, word, bit).
-        injections: Dict[int, List] = {}
-        inject_cycle = np.empty(num_faults, dtype=np.int64)
-        for index, fault in enumerate(faults):
-            q_slot = compiled.flops[fault.flop_index].q_index
-            injections.setdefault(fault.cycle, []).append(
-                (q_slot, index // 64, np.uint64(1 << (index % 64)))
-            )
-            inject_cycle[index] = fault.cycle
+        # Lanes grouped by injection cycle: cycle t injects lanes
+        # by_cycle[starts[t]:ends[t]], one XOR into each lane's q row.
+        inject_cycle, flop_indices = fault_columns(faults)
+        q_of_flop = np.array([flop.q_index for flop in compiled.flops], np.intp)
+        lane_q = q_of_flop[flop_indices]
+        by_cycle = np.argsort(inject_cycle, kind="stable")
+        span = np.arange(testbench.num_cycles)
+        starts = np.searchsorted(inject_cycle[by_cycle], span, side="left")
+        ends = np.searchsorted(inject_cycle[by_cycle], span, side="right")
 
         # Load the shared reset state.
         reset = golden.states[0]
         for position, flop in enumerate(compiled.flops):
             values[flop.q_index, :] = ones if (reset >> position) & 1 else 0
 
-        fail_cycle = np.full(num_faults, -1, dtype=np.int64)
-        vanish_cycle = np.full(num_faults, -1, dtype=np.int64)
+        fail_cycle = np.full(num_faults, -1, dtype=np.int32)
+        vanish_cycle = np.full(num_faults, -1, dtype=np.int32)
 
         ops = compiled.ops
         flops = compiled.flops
@@ -154,8 +154,12 @@ class NumpyEngine(GradingEngine):
 
         for cycle in range(testbench.num_cycles):
             # 1. inject this cycle's faults into the held state
-            for q_slot, word, bit in injections.get(cycle, ()):
-                values[q_slot, word] ^= bit
+            lanes = by_cycle[starts[cycle] : ends[cycle]]
+            np.bitwise_xor.at(
+                values,
+                (lane_q[lanes], lanes >> 6),
+                np.left_shift(np.uint64(1), (lanes & 63).astype(np.uint64)),
+            )
 
             # 2. drive inputs (same golden vector for every fault channel)
             vector = testbench.vectors[cycle]
@@ -200,7 +204,7 @@ class NumpyEngine(GradingEngine):
             "cycles_executed": testbench.num_cycles,
             "num_cycles": testbench.num_cycles,
         }
-        return fail_cycle.tolist(), vanish_cycle.tolist()
+        return fail_cycle, vanish_cycle
 
     # ------------------------------------------------------------------
     # the generic loop (multi-flop flips, per-cycle force re-application)
@@ -211,7 +215,7 @@ class NumpyEngine(GradingEngine):
         testbench: Testbench,
         golden: GoldenTrace,
         schedule,
-    ) -> Tuple[List[int], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         num_faults = schedule.num_faults
         num_cycles = testbench.num_cycles
         num_words = (num_faults + 63) // 64
@@ -224,8 +228,8 @@ class NumpyEngine(GradingEngine):
         for position, slot in enumerate(q_slots):
             values[slot, :] = ones if (reset >> position) & 1 else 0
 
-        fail_cycle = np.full(num_faults, -1, dtype=np.int64)
-        vanish_cycle = np.full(num_faults, -1, dtype=np.int64)
+        fail_cycle = np.full(num_faults, -1, dtype=np.int32)
+        vanish_cycle = np.full(num_faults, -1, dtype=np.int32)
 
         # Word-plane bookkeeping (bit i of word w = lane w*64+i).
         injected = np.zeros(num_words, dtype=np.uint64)
@@ -327,4 +331,4 @@ class NumpyEngine(GradingEngine):
             "cycles_executed": num_cycles,
             "num_cycles": num_cycles,
         }
-        return fail_cycle.tolist(), vanish_cycle.tolist()
+        return fail_cycle, vanish_cycle

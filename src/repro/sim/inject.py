@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import CampaignError
-from repro.faults.model import SeuFault
+from repro.faults.model import FaultArray, SeuFault
 
 
 @dataclass
@@ -63,10 +63,14 @@ def schedule_for(
     """Build the schedule for ``faults`` (validating flip/force targets).
 
     The common all-SEU case is detected without materializing any event
-    lists, so the legacy engine paths pay one ``type`` check per fault and
-    nothing else.
+    lists or fault objects: a :class:`FaultArray` names its fault type,
+    and a list of faults costs one ``type`` check per fault.
     """
-    if all(type(fault) is SeuFault for fault in faults):
+    if isinstance(faults, FaultArray):
+        simple = faults.fault_type is SeuFault
+    else:
+        simple = all(type(fault) is SeuFault for fault in faults)
+    if simple:
         return InjectionSchedule(
             num_faults=len(faults),
             num_cycles=num_cycles,
@@ -78,11 +82,12 @@ def schedule_for(
         num_faults=len(faults),
         num_cycles=num_cycles,
         simple=False,
-        persistent=any(fault.persistent for fault in faults),
-        first_active=[fault.cycle for fault in faults],
+        persistent=False,
     )
     simple = True
     for lane, fault in enumerate(faults):
+        schedule.first_active.append(fault.cycle)
+        schedule.persistent = schedule.persistent or fault.persistent
         flips = fault.flip_flops()
         force = fault.force_value()
         if force is None and len(flips) == 1:

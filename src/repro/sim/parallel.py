@@ -25,15 +25,16 @@ campaigns on one circuit/testbench pay those costs once.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import CampaignError
-from repro.faults.classify import FaultClass, classify_outcome
-from repro.faults.dictionary import FaultDictionary, FaultRecord
-from repro.faults.model import SeuFault
+from repro.faults.classify import VERDICTS, FaultClass, classify_outcome, verdict_codes
+from repro.faults.dictionary import FaultDictionary
+from repro.faults.model import CYCLE_DTYPE, FaultArray, SeuFault, fault_columns
 from repro.sim.backends import available_engines, get_engine
 from repro.sim.cache import compiled_for, golden_for
 from repro.sim.compile import CompiledNetlist
@@ -46,17 +47,25 @@ DEFAULT_BACKEND = "fused"
 
 @dataclass
 class FaultGradingResult:
-    """Per-fault grading outcomes for one campaign."""
+    """Per-fault grading outcomes for one campaign.
 
-    faults: List[SeuFault]
+    ``fail_cycles``/``vanish_cycles`` are ``<i4`` columns in fault-list
+    order (sequences passed in are converted).
+    """
+
+    faults: Sequence[SeuFault]
     num_cycles: int
     flop_names: List[str]
     golden: GoldenTrace
-    fail_cycles: List[int] = field(default_factory=list)
-    vanish_cycles: List[int] = field(default_factory=list)
+    fail_cycles: np.ndarray = ()
+    vanish_cycles: np.ndarray = ()
     _dictionary: Optional[FaultDictionary] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        self.fail_cycles = np.asarray(self.fail_cycles, dtype=CYCLE_DTYPE)
+        self.vanish_cycles = np.asarray(self.vanish_cycles, dtype=CYCLE_DTYPE)
 
     @property
     def num_faults(self) -> int:
@@ -68,10 +77,8 @@ class FaultGradingResult:
 
     def verdicts(self) -> List[FaultClass]:
         """All classifications, fault-list order."""
-        return [
-            classify_outcome(fail, vanish)
-            for fail, vanish in zip(self.fail_cycles, self.vanish_cycles)
-        ]
+        codes = verdict_codes(self.fail_cycles, self.vanish_cycles)
+        return [VERDICTS[code] for code in codes.tolist()]
 
     def outcome_digest(self) -> str:
         """Content digest of the per-fault outcomes (fail/vanish cycles).
@@ -79,36 +86,30 @@ class FaultGradingResult:
         Two gradings of the same campaign agree on this hex string iff
         they are bit-exact, which is how the distributed-transport tests
         (and CI's fleet smoke) compare a remote-graded oracle against
-        the serial reference without shipping the arrays around.
+        the serial reference without shipping the arrays around. The
+        hashed bytes are little-endian int32 on every host.
         """
-        import hashlib
-        from array import array
-
         digest = hashlib.blake2b(digest_size=16)
-        digest.update(array("i", map(int, self.fail_cycles)).tobytes())
+        digest.update(self.fail_cycles.tobytes())
         digest.update(b"|")
-        digest.update(array("i", map(int, self.vanish_cycles)).tobytes())
+        digest.update(self.vanish_cycles.tobytes())
         return digest.hexdigest()
 
     def to_dictionary(self) -> FaultDictionary:
         """Decode into a queryable :class:`FaultDictionary`.
 
         The decode is memoized: campaign engines sharing one oracle (the
-        normal multi-technique setup) receive the same dictionary object
-        instead of re-decoding 34k verdicts per technique.
+        normal multi-technique setup) receive the same dictionary object,
+        which shares this result's outcome columns.
         """
         if self._dictionary is None:
-            dictionary = FaultDictionary(self.num_cycles, self.flop_names)
-            for index, fault in enumerate(self.faults):
-                dictionary.add(
-                    FaultRecord(
-                        fault=fault,
-                        verdict=self.verdict(index),
-                        fail_cycle=self.fail_cycles[index],
-                        vanish_cycle=self.vanish_cycles[index],
-                    )
-                )
-            self._dictionary = dictionary
+            self._dictionary = FaultDictionary(
+                self.num_cycles,
+                self.flop_names,
+                self.faults,
+                self.fail_cycles,
+                self.vanish_cycles,
+            )
         return self._dictionary
 
 
@@ -130,7 +131,7 @@ def grade_faults(
     engine = get_engine(backend)
     fail, vanish = engine.grade(compiled, testbench, faults, golden)
     return FaultGradingResult(
-        faults=list(faults),
+        faults=faults if isinstance(faults, FaultArray) else list(faults),
         num_cycles=testbench.num_cycles,
         flop_names=[flop.name for flop in compiled.flops],
         golden=golden,
@@ -143,15 +144,9 @@ def _check_faults(
     compiled: CompiledNetlist, testbench: Testbench, faults: Sequence[SeuFault]
 ) -> None:
     """Validate the fault list in bulk (no per-fault Python branching)."""
-    if not faults:
+    if not len(faults):
         raise CampaignError("empty fault list")
-    count = len(faults)
-    cycles = np.fromiter(
-        (fault.cycle for fault in faults), dtype=np.int64, count=count
-    )
-    flop_indices = np.fromiter(
-        (fault.flop_index for fault in faults), dtype=np.int64, count=count
-    )
+    cycles, flop_indices = fault_columns(faults)
     late = cycles >= testbench.num_cycles
     if late.any():
         fault = faults[int(np.argmax(late))]

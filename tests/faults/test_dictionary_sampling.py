@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.circuits.registry import build_circuit
 from repro.errors import CampaignError
 from repro.faults.classify import FaultClass
 from repro.faults.dictionary import FaultDictionary, FaultRecord
@@ -11,16 +12,17 @@ from repro.faults.sampling import (
     sample_fault_list,
     wilson_interval,
 )
+from repro.sim.parallel import grade_faults
+from repro.sim.vectors import random_testbench
+from repro.util.rng import DeterministicRng
 from tests.conftest import build_counter
 
 
 def make_dictionary():
-    d = FaultDictionary(num_cycles=10, flop_names=["a", "b"])
-    d.add(FaultRecord(SeuFault(0, 0, "a"), FaultClass.FAILURE, 2, -1))
-    d.add(FaultRecord(SeuFault(1, 0, "a"), FaultClass.FAILURE, 1, -1))
-    d.add(FaultRecord(SeuFault(2, 1, "b"), FaultClass.SILENT, -1, 4))
-    d.add(FaultRecord(SeuFault(3, 1, "b"), FaultClass.LATENT, -1, -1))
-    return d
+    # failure, failure, silent, latent
+    faults = [SeuFault(0, 0, "a"), SeuFault(1, 0, "a"), SeuFault(2, 1, "b"),
+              SeuFault(3, 1, "b")]
+    return FaultDictionary(10, ["a", "b"], faults, [2, 1, -1, -1], [-1, -1, 4, -1])
 
 
 class TestDictionary:
@@ -45,6 +47,9 @@ class TestDictionary:
     def test_latency_definitions(self):
         d = make_dictionary()
         records = list(d)
+        assert records[2] == FaultRecord(SeuFault(2, 1, "b"), FaultClass.SILENT, -1, 4)
+        assert [record.verdict for record in records] == [
+            FaultClass.FAILURE, FaultClass.FAILURE, FaultClass.SILENT, FaultClass.LATENT]
         # failure at cycle 2 injected at 0 -> latency 2
         assert records[0].latency(10) == 2
         # silent vanish at 4 injected at 2 -> latency 2
@@ -63,9 +68,26 @@ class TestDictionary:
         assert d.mean_latency() == 0.0
 
     def test_fault_outside_testbench_rejected(self):
-        d = FaultDictionary(5, ["x"])
         with pytest.raises(CampaignError):
-            d.add(FaultRecord(SeuFault(5, 0, "x"), FaultClass.LATENT, -1, -1))
+            FaultDictionary(5, ["x"], [SeuFault(5, 0, "x")], [-1], [-1])
+
+    def test_column_queries_match_record_loops(self):
+        """The vectorized queries agree with loops over FaultRecords."""
+        circuit = build_circuit("b03")  # every verdict occurs
+        bench = random_testbench(circuit, 20, seed=5)
+        d = grade_faults(circuit, bench, exhaustive_fault_list(circuit, 20)).to_dictionary()
+        records = list(d)
+        assert d.counts() == {verdict: sum(r.verdict is verdict for r in records)
+                              for verdict in FaultClass}
+        assert d.per_flop_failures() == {
+            name: sum(r.verdict is FaultClass.FAILURE and r.fault.flop_name == name
+                      for r in records)
+            for name in d.flop_names
+        }
+        for verdict in (None, *FaultClass):
+            chosen = [r for r in records if verdict in (None, r.verdict)]
+            expected = sum(r.latency(20) for r in chosen) / len(chosen)
+            assert d.mean_latency(verdict) == expected
 
     def test_summary_mentions_counts(self):
         text = make_dictionary().summary()
@@ -86,6 +108,15 @@ class TestSampling:
         faults = exhaustive_fault_list(counter, 20)
         sample = sample_fault_list(faults, 15, seed=1)
         assert sample == sorted(sample)
+
+    def test_column_sampler_matches_object_sampler(self):
+        """Positions drawn from range(n) pick what the object-list draw
+        picks; columns and plain lists sample identically."""
+        faults = exhaustive_fault_list(build_counter(4), 20)
+        rng = DeterministicRng(3).fork("fault-sample")
+        expected = sorted(rng.sample(list(faults), 25))
+        assert list(sample_fault_list(faults, 25, seed=3)) == expected
+        assert sample_fault_list(list(faults), 25, seed=3) == expected
 
     def test_sample_size_validated(self):
         counter = build_counter(2)

@@ -207,7 +207,7 @@ class TestSubsetSpecs:
         lines.clear()
         resumed = runner.grade(subset)
         assert any("resuming" in line for line in lines)
-        assert resumed.fail_cycles == first.fail_cycles
+        assert list(resumed.fail_cycles) == list(first.fail_cycles)
         # an edited subset is a different campaign: fresh store, full
         # regrade, no resume from the old one
         lines.clear()
@@ -226,8 +226,8 @@ class TestRunnerAndStore:
         )
         serial = CampaignRunner(workers=1).grade(spec)
         pooled = CampaignRunner(workers=2, shards=4).grade(spec)
-        assert serial.fail_cycles == pooled.fail_cycles
-        assert serial.vanish_cycles == pooled.vanish_cycles
+        assert list(serial.fail_cycles) == list(pooled.fail_cycles)
+        assert list(serial.vanish_cycles) == list(pooled.vanish_cycles)
 
     def test_store_resume_under_hardened_id(self, tmp_path):
         lines = []
@@ -241,7 +241,7 @@ class TestRunnerAndStore:
         lines.clear()
         resumed = runner.grade(spec)
         assert any("resuming" in line for line in lines)
-        assert resumed.fail_cycles == first.fail_cycles
+        assert list(resumed.fail_cycles) == list(first.fail_cycles)
 
     def test_adaptive_campaign_on_hardened_circuit(self):
         spec = CampaignSpec(

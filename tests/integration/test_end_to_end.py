@@ -34,8 +34,8 @@ class TestFullWorkflow:
         faults = exhaustive_fault_list(original, 30)
         graded_a = grade_faults(original, bench, faults)
         graded_b = grade_faults(reloaded, bench, faults)
-        assert graded_a.fail_cycles == graded_b.fail_cycles
-        assert graded_a.vanish_cycles == graded_b.vanish_cycles
+        assert list(graded_a.fail_cycles) == list(graded_b.fail_cycles)
+        assert list(graded_a.vanish_cycles) == list(graded_b.vanish_cycles)
 
     @pytest.mark.parametrize("technique", TECHNIQUES)
     def test_facade_synthesize_then_campaign(self, technique):
@@ -121,7 +121,7 @@ class TestCrossModuleConsistency:
         assert len(oracle.fail_cycles) == len(faults)
         assert all(
             -1 <= c < bench.num_cycles
-            for c in oracle.fail_cycles + oracle.vanish_cycles
+            for c in [*oracle.fail_cycles, *oracle.vanish_cycles]
         )
 
 

@@ -138,9 +138,8 @@ class TestShardedEqualsSerial:
             circuit="b06", technique="mask_scan", num_cycles=14, engine="numpy"
         )
         runner = CampaignRunner(workers=1, shards=3)
-        assert (
-            runner.grade(spec_fused).fail_cycles
-            == runner.grade(spec_numpy).fail_cycles
+        assert list(runner.grade(spec_fused).fail_cycles) == list(
+            runner.grade(spec_numpy).fail_cycles
         )
 
     def test_board_override(self):

@@ -158,7 +158,7 @@ class TestShardRecords:
         store.append(make_record(1, 4, 8))
         completed = store.completed()
         assert sorted(completed) == [0, 1]
-        assert completed[0].fail_cycles == [0, 1, 2]
+        assert list(completed[0].fail_cycles) == [0, 1, 2]
         assert completed[1].engine == "fused"
 
     def test_truncated_tail_line_ignored(self, tmp_path):
@@ -192,7 +192,7 @@ class TestShardRecords:
         newer = make_record(0, 0, 4)
         newer.fail_cycles = [7, 7, 7]
         store.append(newer)
-        assert store.completed()[0].fail_cycles == [7, 7, 7]
+        assert list(store.completed()[0].fail_cycles) == [7, 7, 7]
 
     def test_reset_drops_records(self, tmp_path):
         store = ResultsStore.open(str(tmp_path), KEY, "b01-abc", WINDOWS)

@@ -266,8 +266,8 @@ class TestLocalPoolTransport:
         # submit-on-complete rounds.
         with CampaignRunner(workers=2, shards=12) as runner:
             pooled = runner.grade(spec)
-        assert pooled.fail_cycles == serial.fail_cycles
-        assert pooled.vanish_cycles == serial.vanish_cycles
+        assert list(pooled.fail_cycles) == list(serial.fail_cycles)
+        assert list(pooled.vanish_cycles) == list(serial.vanish_cycles)
 
     def test_records_carry_pool_provenance(self):
         spec = CampaignSpec(circuit="b04", technique="mask_scan")

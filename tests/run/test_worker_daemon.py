@@ -113,8 +113,8 @@ class TestDigestNegotiation:
 
         with CampaignRunner(hosts=address) as runner:
             graded = runner.grade(SPEC)
-        assert graded.fail_cycles == serial_oracle.fail_cycles
-        assert graded.vanish_cycles == serial_oracle.vanish_cycles
+        assert list(graded.fail_cycles) == list(serial_oracle.fail_cycles)
+        assert list(graded.vanish_cycles) == list(serial_oracle.vanish_cycles)
         # Cold daemon + empty wire store: both artifacts were missing
         # and had to cross the wire.
         assert server.stats["digest_misses"] == 2
@@ -136,7 +136,7 @@ class TestDigestNegotiation:
         try:
             with CampaignRunner(hosts=f"127.0.0.1:{port}") as runner:
                 regraded = runner.grade(SPEC)
-            assert regraded.fail_cycles == serial_oracle.fail_cycles
+            assert list(regraded.fail_cycles) == list(serial_oracle.fail_cycles)
             assert restarted.stats["digest_hits"] == 2
             assert restarted.stats["digest_misses"] == 0
             assert restarted.stats["artifact_bytes_received"] == 0
@@ -165,7 +165,7 @@ class TestDigestNegotiation:
         try:
             with CampaignRunner(hosts=f"127.0.0.1:{port}") as runner:
                 regraded = runner.grade(SPEC)
-            assert regraded.fail_cycles == serial_oracle.fail_cycles
+            assert list(regraded.fail_cycles) == list(serial_oracle.fail_cycles)
             # Both corrupted payloads were rejected and re-shipped.
             assert fresh.stats["digest_misses"] == 2
             assert fresh.stats["artifact_bytes_received"] > 0
@@ -246,10 +246,10 @@ class TestFleetGrading:
         with CampaignRunner(hosts=f"{address_a},{address_b}", shards=8) as runner:
             fleet = runner.grade(SPEC)
 
-        assert fleet.fail_cycles == serial_oracle.fail_cycles
-        assert fleet.vanish_cycles == serial_oracle.vanish_cycles
-        assert fleet.fail_cycles == pooled.fail_cycles
-        assert fleet.vanish_cycles == pooled.vanish_cycles
+        assert list(fleet.fail_cycles) == list(serial_oracle.fail_cycles)
+        assert list(fleet.vanish_cycles) == list(serial_oracle.vanish_cycles)
+        assert list(fleet.fail_cycles) == list(pooled.fail_cycles)
+        assert list(fleet.vanish_cycles) == list(pooled.vanish_cycles)
         assert fleet.outcome_digest() == serial_oracle.outcome_digest()
 
     def test_work_is_stolen_dynamically(self, worker_fleet, tmp_path):
@@ -341,8 +341,8 @@ class TestShardLoss:
             merged = runner.grade(SPEC)
 
         assert victim.poll() is not None, "victim was never killed"
-        assert merged.fail_cycles == serial_oracle.fail_cycles
-        assert merged.vanish_cycles == serial_oracle.vanish_cycles
+        assert list(merged.fail_cycles) == list(serial_oracle.fail_cycles)
+        assert list(merged.vanish_cycles) == list(serial_oracle.vanish_cycles)
 
         records = shard_store(store_root).completed()
         assert len(records) == 8
@@ -357,7 +357,7 @@ class TestShardLoss:
         resumed = CampaignRunner(
             workers=1, store_root=str(store_root), progress=lines.append
         ).grade(SPEC)
-        assert resumed.fail_cycles == serial_oracle.fail_cycles
+        assert list(resumed.fail_cycles) == list(serial_oracle.fail_cycles)
         assert any("resuming: 8/8" in line for line in lines)
 
     def test_hung_worker_exceeds_shard_timeout(
@@ -373,8 +373,8 @@ class TestShardLoss:
             started = time.perf_counter()
             merged = runner.grade(SPEC)
             elapsed = time.perf_counter() - started
-        assert merged.fail_cycles == serial_oracle.fail_cycles
-        assert merged.vanish_cycles == serial_oracle.vanish_cycles
+        assert list(merged.fail_cycles) == list(serial_oracle.fail_cycles)
+        assert list(merged.vanish_cycles) == list(serial_oracle.vanish_cycles)
         # Never waited out the 30s wedge — the deadline cut it loose.
         assert elapsed < 20
 
@@ -407,8 +407,8 @@ class TestShardLoss:
         resumed = CampaignRunner(
             workers=1, store_root=str(store_root)
         ).grade(SPEC)
-        assert resumed.fail_cycles == serial_oracle.fail_cycles
-        assert resumed.vanish_cycles == serial_oracle.vanish_cycles
+        assert list(resumed.fail_cycles) == list(serial_oracle.fail_cycles)
+        assert list(resumed.vanish_cycles) == list(serial_oracle.vanish_cycles)
         assert len(store.completed()) == 4
 
     def test_unreachable_fleet_raises(self):
@@ -431,8 +431,8 @@ class TestPaperScaleFleet:
         ) as runner:
             fleet = runner.grade(spec)
         assert fleet.outcome_digest() == serial.outcome_digest()
-        assert fleet.fail_cycles == serial.fail_cycles
-        assert fleet.vanish_cycles == serial.vanish_cycles
+        assert list(fleet.fail_cycles) == list(serial.fail_cycles)
+        assert list(fleet.vanish_cycles) == list(serial.vanish_cycles)
 
 
 class TestTcpTransportUnit:

@@ -74,8 +74,8 @@ class TestCrossEngineEquivalence:
         reference = grade_faults(circuit, bench, faults, backend="bigint")
         for name in available_engines():
             result = grade_faults(circuit, bench, faults, backend=name)
-            assert result.fail_cycles == reference.fail_cycles, (name, seed)
-            assert result.vanish_cycles == reference.vanish_cycles, (name, seed)
+            assert list(result.fail_cycles) == list(reference.fail_cycles), (name, seed)
+            assert list(result.vanish_cycles) == list(reference.vanish_cycles), (name, seed)
 
     @pytest.mark.parametrize("model_name", MODELS)
     def test_engines_agree_with_serial_replay(self, model_name):
@@ -108,8 +108,8 @@ class TestCrossEngineEquivalence:
         )
         fallback = grade_faults(circuit, bench, faults, backend="fused")
         assert get_engine("fused").last_stats["native"] is False
-        assert fallback.fail_cycles == native.fail_cycles
-        assert fallback.vanish_cycles == native.vanish_cycles
+        assert list(fallback.fail_cycles) == list(native.fail_cycles)
+        assert list(fallback.vanish_cycles) == list(native.vanish_cycles)
 
     def test_word_boundary_lane_counts(self):
         circuit = build_shift_register(6)
@@ -119,8 +119,8 @@ class TestCrossEngineEquivalence:
             faults = population[:count]
             fused = grade_faults(circuit, bench, faults, backend="fused")
             bigint = grade_faults(circuit, bench, faults, backend="bigint")
-            assert fused.fail_cycles == bigint.fail_cycles, count
-            assert fused.vanish_cycles == bigint.vanish_cycles, count
+            assert list(fused.fail_cycles) == list(bigint.fail_cycles), count
+            assert list(fused.vanish_cycles) == list(bigint.vanish_cycles), count
 
 
 class TestEarlyExitContract:
