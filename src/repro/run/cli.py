@@ -918,8 +918,8 @@ def _cmd_db_import(args: argparse.Namespace) -> int:
             print(f"  refused  {result['campaign_id']}: {result['reason']}")
     print(
         f"database {_default_db_path(args)}: "
-        f"{counts['campaigns']} campaigns, {counts['fault_outcomes']:,} "
-        "fault outcomes"
+        f"{counts['campaigns']} campaigns, {counts['flop_outcomes']:,} "
+        "per-flop outcome rows"
     )
     return 0
 

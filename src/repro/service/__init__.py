@@ -3,9 +3,9 @@
 The package behind ``repro serve`` / ``repro db`` / ``repro query``:
 
 * :mod:`repro.service.db` — schema-versioned WAL SQLite database
-  (campaigns / shards / fault_outcomes) with lossless import from the
-  JSONL :class:`~repro.run.store.ResultsStore` and the cross-campaign
-  aggregate queries.
+  (campaigns / shards / flop_outcomes verdict counts) with lossless
+  import from the JSONL :class:`~repro.run.store.ResultsStore` and the
+  cross-campaign aggregate queries.
 * :mod:`repro.service.executor` — the background grading thread that
   drains the bounded submission queue through one persistent
   :class:`~repro.run.runner.CampaignRunner`.

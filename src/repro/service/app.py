@@ -83,7 +83,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_body(self) -> Optional[Dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            self._error("Content-Length is not an integer", 400)
+            return None
         if length <= 0 or length > MAX_BODY_BYTES:
             self._error("request body required (a JSON CampaignSpec)", 400)
             return None
@@ -205,19 +209,16 @@ class _Handler(BaseHTTPRequestHandler):
         kind = query.get("kind", "flop_failures")
         db = self.service.db
         if kind == "flop_failures":
-            limit = int(query["limit"]) if "limit" in query else None
-            mode = query.get("mode")
-            if mode not in (None, "sampled", "exhaustive"):
-                self._error(
-                    f"unknown mode {mode!r}; expected sampled or exhaustive",
-                    400,
-                )
+            try:
+                limit = int(query["limit"]) if "limit" in query else None
+            except ValueError:
+                self._error(f"limit {query['limit']!r} is not an integer", 400)
                 return
             rows = db.flop_failure_rates(
                 circuit=query.get("circuit"),
                 fault_model=query.get("fault_model"),
                 limit=limit,
-                mode=mode,
+                mode=query.get("mode"),
             )
         elif kind == "classes":
             rows = db.class_breakdown(

@@ -18,10 +18,10 @@ split):
 * ``shards``     — one row per graded cycle-window with its
   ``worker``/``attempts`` provenance (the JSONL shard records, minus
   the bulky outcome arrays).
-* ``fault_outcomes`` — one row per fault: flop name, injection cycle,
-  fail/vanish cycles and the derived verdict. This is the table the
-  cross-campaign aggregates run on; it is indexed by flop and by
-  (campaign, verdict).
+* ``flop_outcomes`` — one row per (campaign, flop) with at least one
+  fault: that flop's FAILURE/LATENT/SILENT counts. Every query only
+  aggregates verdicts by campaign and flop, so this is the table they
+  all sum; the per-fault cycles stay in the JSONL store alone.
 
 The schema is versioned through ``PRAGMA user_version`` and the
 database opens in WAL mode, so the service's executor thread, its HTTP
@@ -32,7 +32,6 @@ refused with a nameable error, never silently migrated.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import sqlite3
@@ -43,13 +42,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import CampaignError, ReproError, ServiceError
-from repro.faults.classify import VERDICTS, FaultClass, verdict_codes
-from repro.faults.model import CYCLE_DTYPE, FaultArray
+from repro.faults.classify import VERDICTS, verdict_codes
+from repro.faults.model import FaultArray
 from repro.run.spec import CampaignSpec
 from repro.run.store import ResultsStore, ShardRecord, discover_stores
 
 #: bump on any table/column/index change; mismatched files are refused.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: default database location, beside the JSONL stores it indexes
 DEFAULT_DB_FILENAME = "service.db"
@@ -101,20 +100,19 @@ CREATE TABLE shards (
     PRIMARY KEY (campaign_id, shard_index)
 );
 
-CREATE TABLE fault_outcomes (
-    campaign_id  TEXT NOT NULL REFERENCES campaigns (campaign_id)
-                 ON DELETE CASCADE,
-    fault_index  INTEGER NOT NULL,
-    flop         TEXT NOT NULL,
-    inject_cycle INTEGER NOT NULL,
-    fail_cycle   INTEGER NOT NULL,
-    vanish_cycle INTEGER NOT NULL,
-    verdict      TEXT NOT NULL,
-    PRIMARY KEY (campaign_id, fault_index)
+CREATE TABLE flop_outcomes (
+    campaign_id TEXT NOT NULL REFERENCES campaigns (campaign_id)
+                ON DELETE CASCADE,
+    flop        TEXT NOT NULL,
+    failure     INTEGER NOT NULL,
+    latent      INTEGER NOT NULL,
+    silent      INTEGER NOT NULL,
+    PRIMARY KEY (campaign_id, flop)
 );
-CREATE INDEX idx_outcomes_flop    ON fault_outcomes (flop);
-CREATE INDEX idx_outcomes_verdict ON fault_outcomes (campaign_id, verdict);
 """
+
+#: SQL for the number of faults pooled into a group of flop_outcomes rows
+_FAULTS = "SUM(o.failure + o.latent + o.silent)"
 
 #: campaign lifecycle states a row may hold
 CAMPAIGN_STATUSES = (
@@ -355,30 +353,26 @@ class ResultsDB:
         fail_cycles: Iterable[int],
         vanish_cycles: Iterable[int],
     ) -> int:
-        """Bulk-insert per-fault outcomes (replacing any stale rows),
-        built from the fault and outcome columns."""
-        fail = np.asarray(fail_cycles, dtype=CYCLE_DTYPE)
-        vanish = np.asarray(vanish_cycles, dtype=CYCLE_DTYPE)
-        names = [name or f"flop[{i}]" for i, name in enumerate(faults.flop_names)]
-        labels = [verdict.value for verdict in VERDICTS]
-        rows = list(
-            zip(
-                itertools.repeat(campaign_id),
-                itertools.count(),
-                [names[flop] for flop in faults.flops.tolist()],
-                faults.cycles.tolist(),
-                fail.tolist(),
-                vanish.tolist(),
-                [labels[code] for code in verdict_codes(fail, vanish).tolist()],
-            )
-        )
+        """Replace one campaign's per-flop verdict counts; returns the
+        rows written. Flops without a fault get no row: a zero row would
+        count the campaign toward a flop its sample never touched."""
+        width = len(VERDICTS)
+        counts = np.bincount(
+            faults.flops * width + verdict_codes(fail_cycles, vanish_cycles),
+            minlength=len(faults.flop_names) * width,
+        ).reshape(-1, width)
+        rows = [
+            (campaign_id, faults.flop_names[flop] or f"flop[{flop}]",
+             *counts[flop].tolist())
+            for flop in np.flatnonzero(counts.any(axis=1)).tolist()
+        ]
         with self._lock, self._conn:
             self._conn.execute(
-                "DELETE FROM fault_outcomes WHERE campaign_id=?",
+                "DELETE FROM flop_outcomes WHERE campaign_id=?",
                 (campaign_id,),
             )
             self._conn.executemany(
-                "INSERT INTO fault_outcomes VALUES (?,?,?,?,?,?,?)", rows
+                "INSERT INTO flop_outcomes VALUES (?,?,?,?,?)", rows
             )
         return len(rows)
 
@@ -531,6 +525,11 @@ class ResultsDB:
         query = "SELECT * FROM campaigns"
         params: Tuple = ()
         if status is not None:
+            if status not in CAMPAIGN_STATUSES:
+                raise ServiceError(
+                    f"unknown campaign status {status!r}; expected one of "
+                    f"{', '.join(CAMPAIGN_STATUSES)}"
+                )
             query += " WHERE status=?"
             params = (status,)
         query += " ORDER BY submitted_at DESC, campaign_id"
@@ -550,16 +549,13 @@ class ResultsDB:
 
     def class_counts(self, campaign_id: str) -> Dict[str, int]:
         """FAILURE/LATENT/SILENT counts of one campaign, from SQL."""
-        counts = {fault_class.value: 0 for fault_class in FaultClass}
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT verdict, COUNT(*) FROM fault_outcomes "
-                "WHERE campaign_id=? GROUP BY verdict",
+            row = self._conn.execute(
+                "SELECT SUM(failure), SUM(latent), SUM(silent) "
+                "FROM flop_outcomes WHERE campaign_id=?",
                 (campaign_id,),
-            ).fetchall()
-        for verdict, count in rows:
-            counts[verdict] = count
-        return counts
+            ).fetchone()
+        return {verdict.value: count or 0 for verdict, count in zip(VERDICTS, row)}
 
     def counts(self) -> Dict[str, int]:
         """Row counts per table (db info / sanity checks)."""
@@ -568,7 +564,7 @@ class ResultsDB:
                 table: self._conn.execute(
                     f"SELECT COUNT(*) FROM {table}"
                 ).fetchone()[0]
-                for table in ("campaigns", "shards", "fault_outcomes")
+                for table in ("campaigns", "shards", "flop_outcomes")
             }
 
     # ------------------------------------------------------------------
@@ -620,16 +616,13 @@ class ResultsDB:
             conditions.append("c.sample IS NULL")
         query = (
             "SELECT o.flop AS flop, "
-            "COUNT(DISTINCT o.campaign_id) AS campaigns, "
-            "COUNT(DISTINCT CASE WHEN c.sample IS NOT NULL "
-            "THEN o.campaign_id END) AS sampled_campaigns, "
-            "COUNT(DISTINCT CASE WHEN c.sample IS NULL "
-            "THEN o.campaign_id END) AS exhaustive_campaigns, "
-            "COUNT(*) AS faults, "
-            "SUM(o.verdict = 'failure') AS failures, "
-            "ROUND(1.0 * SUM(o.verdict = 'failure') / COUNT(*), 6) "
-            "AS failure_rate "
-            "FROM fault_outcomes o "
+            "COUNT(*) AS campaigns, "
+            "SUM(c.sample IS NOT NULL) AS sampled_campaigns, "
+            "SUM(c.sample IS NULL) AS exhaustive_campaigns, "
+            f"{_FAULTS} AS faults, "
+            "SUM(o.failure) AS failures, "
+            f"ROUND(1.0 * SUM(o.failure) / {_FAULTS}, 6) AS failure_rate "
+            "FROM flop_outcomes o "
             "JOIN campaigns c ON c.campaign_id = o.campaign_id "
             f"WHERE {' AND '.join(conditions)} "
             "GROUP BY o.flop "
@@ -664,13 +657,12 @@ class ResultsDB:
         query = (
             f"SELECT COALESCE(c.{group}, 'none') AS grp, "
             "COUNT(DISTINCT c.campaign_id) AS campaigns, "
-            "COUNT(*) AS faults, "
-            "SUM(o.verdict = 'failure') AS failures, "
-            "SUM(o.verdict = 'latent') AS latent, "
-            "SUM(o.verdict = 'silent') AS silent, "
-            "ROUND(1.0 * SUM(o.verdict = 'failure') / COUNT(*), 6) "
-            "AS failure_rate "
-            "FROM fault_outcomes o "
+            f"{_FAULTS} AS faults, "
+            "SUM(o.failure) AS failures, "
+            "SUM(o.latent) AS latent, "
+            "SUM(o.silent) AS silent, "
+            f"ROUND(1.0 * SUM(o.failure) / {_FAULTS}, 6) AS failure_rate "
+            "FROM flop_outcomes o "
             "JOIN campaigns c ON c.campaign_id = o.campaign_id "
             "GROUP BY grp ORDER BY grp"
         )

@@ -15,6 +15,70 @@ from repro.run.store import ResultsStore, discover_stores
 from repro.service.db import SCHEMA_VERSION, ResultsDB, spec_from_manifest
 
 
+#: the schema-version-1 DDL, with one ``fault_outcomes`` row per fault
+SCHEMA_V1 = """
+CREATE TABLE campaigns (
+    campaign_id   TEXT PRIMARY KEY,
+    circuit       TEXT NOT NULL,
+    effective_circuit TEXT NOT NULL,
+    technique     TEXT NOT NULL,
+    engine        TEXT NOT NULL,
+    testbench     TEXT NOT NULL,
+    num_cycles    INTEGER NOT NULL,
+    seed          INTEGER NOT NULL,
+    sample        INTEGER,
+    sampling      TEXT NOT NULL,
+    fault_model   TEXT NOT NULL,
+    hardening     TEXT,
+    spec_json     TEXT NOT NULL,
+    source        TEXT NOT NULL DEFAULT 'service',
+    status        TEXT NOT NULL DEFAULT 'queued',
+    cancel_requested INTEGER NOT NULL DEFAULT 0,
+    error         TEXT,
+    submitted_at  REAL,
+    started_at    REAL,
+    finished_at   REAL,
+    num_shards    INTEGER,
+    shards_done   INTEGER NOT NULL DEFAULT 0,
+    num_faults    INTEGER,
+    oracle_digest TEXT,
+    total_cycles  INTEGER,
+    emulation_ms  REAL,
+    us_per_fault  REAL
+);
+CREATE INDEX idx_campaigns_circuit ON campaigns (circuit);
+CREATE INDEX idx_campaigns_status  ON campaigns (status);
+
+CREATE TABLE shards (
+    campaign_id TEXT NOT NULL REFERENCES campaigns (campaign_id)
+                ON DELETE CASCADE,
+    shard_index INTEGER NOT NULL,
+    start_cycle INTEGER NOT NULL,
+    end_cycle   INTEGER NOT NULL,
+    num_faults  INTEGER NOT NULL,
+    engine      TEXT NOT NULL DEFAULT '',
+    elapsed_s   REAL NOT NULL DEFAULT 0.0,
+    worker      TEXT NOT NULL DEFAULT '',
+    attempts    INTEGER NOT NULL DEFAULT 1,
+    PRIMARY KEY (campaign_id, shard_index)
+);
+
+CREATE TABLE fault_outcomes (
+    campaign_id  TEXT NOT NULL REFERENCES campaigns (campaign_id)
+                 ON DELETE CASCADE,
+    fault_index  INTEGER NOT NULL,
+    flop         TEXT NOT NULL,
+    inject_cycle INTEGER NOT NULL,
+    fail_cycle   INTEGER NOT NULL,
+    vanish_cycle INTEGER NOT NULL,
+    verdict      TEXT NOT NULL,
+    PRIMARY KEY (campaign_id, fault_index)
+);
+CREATE INDEX idx_outcomes_flop    ON fault_outcomes (flop);
+CREATE INDEX idx_outcomes_verdict ON fault_outcomes (campaign_id, verdict);
+"""
+
+
 def _spec(**overrides):
     fields = {
         "circuit": "b04",
@@ -40,7 +104,7 @@ class TestSchema:
         path = str(tmp_path / "svc.db")
         with ResultsDB(path) as db:
             assert db.counts() == {
-                "campaigns": 0, "shards": 0, "fault_outcomes": 0
+                "campaigns": 0, "shards": 0, "flop_outcomes": 0
             }
         conn = sqlite3.connect(path)
         (version,) = conn.execute("PRAGMA user_version").fetchone()
@@ -61,6 +125,20 @@ class TestSchema:
         conn.close()
         with pytest.raises(ServiceError, match="schema version"):
             ResultsDB(path)
+
+    def test_refuses_per_fault_v1_file(self, tmp_path):
+        """A file written with the per-fault ``fault_outcomes`` schema is
+        refused, and the error points at the lossless re-import."""
+        path = str(tmp_path / "v1.db")
+        conn = sqlite3.connect(path)
+        conn.executescript(SCHEMA_V1)
+        conn.execute("PRAGMA user_version = 1")
+        conn.commit()
+        conn.close()
+        with pytest.raises(ServiceError) as raised:
+            ResultsDB(path)
+        assert "schema version 1" in str(raised.value)
+        assert "repro db import" in str(raised.value)
 
     def test_refuses_foreign_sqlite_file(self, tmp_path):
         path = str(tmp_path / "other.db")
@@ -138,8 +216,28 @@ class TestImport:
                 ).items()
             }
             assert db.class_counts(spec.campaign_id) == expected
-            # per-fault rows carry the exact cycles, not just verdicts
-            assert db.counts()["fault_outcomes"] == oracle.num_faults
+        # every fault lands in exactly one per-flop count
+        conn = sqlite3.connect(str(tmp_path / "svc.db"))
+        (pooled,) = conn.execute(
+            "SELECT SUM(failure + latent + silent) FROM flop_outcomes"
+        ).fetchone()
+        conn.close()
+        assert pooled == oracle.num_faults
+
+    def test_b14_exhaustive_writes_one_row_per_flop(self, tmp_path):
+        """34,400 faults over 215 flops index as 215 count rows."""
+        spec = CampaignSpec("b14", "time_multiplexed")
+        with CampaignRunner(workers=0) as runner:
+            oracle = runner.grade(spec)
+        assert oracle.num_faults == 34400
+        with ResultsDB(str(tmp_path / "svc.db")) as db:
+            db.submit(spec)
+            written = db.record_outcomes(
+                spec.campaign_id, oracle.faults, oracle.fail_cycles,
+                oracle.vanish_cycles,
+            )
+            assert written == db.counts()["flop_outcomes"] == 215
+            assert sum(db.class_counts(spec.campaign_id).values()) == 34400
 
     def test_reimport_skips(self, tmp_path):
         spec = _spec()

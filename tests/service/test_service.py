@@ -5,6 +5,7 @@ serial runner) driven through real HTTP requests — the same surface a
 remote client sees, including error statuses.
 """
 
+import http.client
 import json
 import time
 import urllib.error
@@ -157,6 +158,40 @@ class TestResultsAndQueries:
         assert listing["count"] == 1
         status, listing = _request(service, "/campaigns?status=failed")
         assert listing["count"] == 0
+
+
+class TestMalformedInput:
+    """Malformed query strings and headers get a 400 with a JSON error,
+    never a dropped connection or a silently empty answer."""
+
+    @pytest.mark.parametrize("query, named", [
+        ("limit=abc", "'abc'"),
+        ("mode=bogus", "'bogus'"),
+    ])
+    def test_bad_flop_query_is_400(self, service, query, named):
+        status, body = _request(service, f"/query?kind=flop_failures&{query}")
+        assert status == 400
+        assert named in body["error"]
+
+    def test_non_integer_content_length_is_400(self, service):
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=30
+        )
+        try:
+            connection.putrequest("POST", "/campaigns")
+            connection.putheader("Content-Length", "abc")
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.load(response)["error"]
+        finally:
+            connection.close()
+
+    def test_unknown_status_filter_is_400(self, service):
+        status, body = _request(service, "/campaigns?status=bogus")
+        assert status == 400
+        assert "bogus" in body["error"]
+        assert "queued" in body["error"] and "imported" in body["error"]
 
 
 class TestCancellation:
