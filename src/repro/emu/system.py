@@ -191,9 +191,11 @@ def merge_system(instrument: InstrumentedCircuit, controller: Netlist) -> Netlis
     def ctrl_net(net: str) -> str:
         return f"ctl.{net}"
 
-    # --- primary inputs of the merged system: controller's RAM/start
+    # --- primary inputs of the merged system: controller's RAM/start.
+    # A 1-bit port is a bare net ("obs"), a wider one a bus ("obs[0]").
+    internal = ("obs", "circ_state", "state_diff", "scan_out_bit")
     for net in controller.inputs:
-        if net.startswith(("obs[", "circ_state[", "state_diff", "scan_out_bit")):
+        if net.split("[")[0] in internal:
             continue  # driven internally
         merged.add_input(ctrl_net(net))
 
@@ -247,8 +249,8 @@ def merge_system(instrument: InstrumentedCircuit, controller: Netlist) -> Netlis
             ctrl_net("state_diff"),
         )
     for net in controller.inputs:
-        if net.startswith("circ_state["):
-            index = int(net[len("circ_state[") : -1])
+        if net.split("[")[0] == "circ_state":
+            index = int(net[len("circ_state[") : -1] or 0)
             flop_name = instrument.flop_order[index]
             q_net = instrument.original.dffs[flop_name].q
             merged.add_gate(f"link.{net}", "buf", [q_net], ctrl_net(net))

@@ -13,11 +13,12 @@ per-cycle bookkeeping on small word vectors:
   become their base op's inverted code, and a stage scheduler orders
   independent gates of one base op next to each other with contiguous
   output slots. Programs are cached per :class:`CompiledNetlist`.
-* **Golden re-unpacking** — golden input/output/state words are
-  pre-expanded once into uint64 mask rows (0 or ~0 per bit), so per-cycle
-  compares are one XOR and an OR-reduction, with ``np.unpackbits`` only
-  on the (usually sparse) newly-resolved words — not over every fault
-  lane every cycle.
+* **Golden trace and mask rows** — :func:`golden_trace` runs the
+  fault-free machine through the same kernel (one word column, every
+  row 0 or ~0). Each grade expands the golden words into uint64 mask
+  rows with one ``np.unpackbits``, so per-cycle compares are one XOR
+  and an OR-reduction, unpacking only the (usually sparse) newly
+  resolved words — not every fault lane every cycle.
 * **Dead lanes and dead cycles** (plain SEU lists) — fault lanes are
   (stably) sorted by injection cycle, packed as they are injected and
   squeezed together by the kernel's PEXT compactor once enough of them
@@ -38,12 +39,13 @@ every engine and the serial replay are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.errors import SimulationError
 from repro.faults.model import SeuFault, fault_columns
 from repro.sim.backends import numpy_engine as _numpy_engine  # noqa: F401
 from repro.sim.backends._native import MAX_THREADS, native_kernel
@@ -106,8 +108,6 @@ class FusedProgram:
     output_slots: np.ndarray
     d_slots: np.ndarray
     q_slots: np.ndarray
-    #: golden mask rows per stimulus digest — see _masks_for
-    masks: Dict[str, tuple] = field(default_factory=dict, repr=False)
 
 
 _PROGRAM_CACHE: "WeakKeyDictionary[CompiledNetlist, FusedProgram]" = (
@@ -282,45 +282,24 @@ def build_fused_program(compiled: CompiledNetlist) -> FusedProgram:
 
 def _mask_rows(words: Sequence[int], num_bits: int) -> np.ndarray:
     """Expand packed golden words into per-bit uint64 mask rows (0 / ~0)."""
-    rows = np.zeros((len(words), num_bits), dtype=np.uint64)
-    for index, word in enumerate(words):
-        row = rows[index]
-        position = 0
-        while word:
-            if word & 1:
-                row[position] = _ONES
-            word >>= 1
-            position += 1
-    return rows
-
-
-#: golden mask-row sets kept per program (keyed by stimulus digest)
-_MAX_CACHED_MASKS = 4
+    row_bytes = (num_bits + 7) // 8
+    packed = np.frombuffer(
+        b"".join(word.to_bytes(row_bytes, "little") for word in words),
+        dtype=np.uint8,
+    ).reshape(len(words), row_bytes)
+    bits = np.unpackbits(packed, axis=1, count=num_bits, bitorder="little")
+    return bits.astype(np.uint64) * _ONES
 
 
 def _masks_for(
     program: FusedProgram, testbench: Testbench, golden: GoldenTrace
 ) -> tuple:
-    """The (input, output, state) mask rows, cached on the program.
-
-    The expansion is pure Python over every golden word and costs
-    milliseconds at b14 scale — a fixed per-grade-call tax that the
-    sharded runner would otherwise pay once per shard. The golden trace
-    is a function of (netlist, stimulus) and the program is per-netlist,
-    so the stimulus digest alone keys the memo.
-    """
-    key = testbench.stimulus_digest()
-    masks = program.masks.get(key)
-    if masks is None:
-        masks = (
-            _mask_rows(testbench.vectors, program.num_inputs),
-            _mask_rows(golden.outputs, len(program.output_slots)),
-            _mask_rows(golden.states, len(program.q_slots)),
-        )
-        if len(program.masks) >= _MAX_CACHED_MASKS:
-            program.masks.clear()
-        program.masks[key] = masks
-    return masks
+    """The (input, output, state) mask rows of one grade (~0.1 ms at b14)."""
+    return (
+        _mask_rows(testbench.vectors, program.num_inputs),
+        _mask_rows(golden.outputs, len(program.output_slots)),
+        _mask_rows(golden.states, len(program.q_slots)),
+    )
 
 
 class _LaneOrder:
@@ -364,31 +343,76 @@ def _bind_kernel(kernel, program: FusedProgram, num_words: int, masks: tuple):
     # width up to the pool cap fits even if another thread resizes the
     # pool mid-grade (the kernel reads the width on every call).
     d_scratch = np.empty(num_flops * (num_words + MAX_THREADS), dtype=np.uint64)
+    if len(out_masks) < len(in_masks) or len(state_masks) <= len(in_masks):
+        raise SimulationError("golden trace is shorter than the testbench")
     grade_cycle = kernel.grade_cycle
+    # Addresses are resolved once: ``.ctypes.data`` costs microseconds and
+    # ``run`` is called every cycle (a golden pass is all such one-word
+    # calls). Mask rows are contiguous, as _mask_rows makes them; the
+    # default argument keeps every addressed array alive.
+    buffers = (values, ops, out_slots, out_diff, d_slots, state_diff, d_scratch)
+    values_at, ops_at, out_at, out_diff_at, d_at, state_diff_at, scratch_at = (
+        array.ctypes.data for array in buffers
+    )
+    (in_row, in_step), (out_row, out_step), (state_row, state_step) = (
+        (rows.ctypes.data, rows.strides[0]) for rows in masks
+    )
 
-    def run(cycle: int, n_act: int) -> None:
+    def run(cycle: int, n_act: int, _alive=(buffers, masks)) -> None:
         grade_cycle(
-            values.ctypes.data,
-            num_words,
-            0,
-            n_act,
-            ops.ctypes.data,
-            len(ops),
-            in_masks[cycle].ctypes.data,
-            program.num_inputs,
-            out_slots.ctypes.data,
-            out_masks[cycle].ctypes.data,
-            len(out_slots),
-            out_diff.ctypes.data,
-            d_slots.ctypes.data,
-            state_masks[cycle + 1].ctypes.data,
-            num_flops,
-            program.q_start,
-            state_diff.ctypes.data,
-            d_scratch.ctypes.data,
+            values_at, num_words, 0, n_act,
+            ops_at, len(ops),
+            in_row + cycle * in_step, program.num_inputs,
+            out_at, out_row + cycle * out_step, len(out_slots),
+            out_diff_at,
+            d_at, state_row + (cycle + 1) * state_step, num_flops,
+            program.q_start, state_diff_at, scratch_at,
         )
 
     return values, run, out_diff, state_diff
+
+
+def _pack_rows(rows: np.ndarray) -> List[int]:
+    """Pack 0 / ~0 mask rows back into ints (bit i = column i)."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def golden_trace(
+    compiled: CompiledNetlist, testbench: Testbench
+) -> Optional[GoldenTrace]:
+    """The fault-free trace from the C kernel, or ``None`` without it.
+
+    One word column whose 64 lanes all run the golden machine, reset as
+    :func:`~repro.sim.cycle.run_golden` does; one kernel call per cycle,
+    its golden compares fed zero rows and ignored. Buffers are private
+    to the call, like a grade's.
+    """
+    kernel = native_kernel()
+    if kernel is None:
+        return None
+    program = fused_program_for(compiled)
+    num_cycles = testbench.num_cycles
+    out_slots = program.output_slots
+    num_flops = len(program.q_slots)
+    blank = np.zeros((num_cycles + 1, max(len(out_slots), num_flops)), np.uint64)
+    masks = (_mask_rows(testbench.vectors, program.num_inputs), blank, blank)
+    values, run_cycle, _, _ = _bind_kernel(kernel, program, 1, masks)
+    column = values[:, 0]
+    q_rows = column[program.q_start : program.q_stop]
+    q_rows[:] = _mask_rows([compiled.initial_state(x_as_zero=True)], num_flops)
+    states = np.empty((num_cycles + 1, num_flops), dtype=np.uint64)
+    outputs = np.empty((num_cycles, len(out_slots)), dtype=np.uint64)
+    for cycle in range(num_cycles):
+        states[cycle] = q_rows
+        run_cycle(cycle, 1)
+        np.take(column, out_slots, out=outputs[cycle])
+    states[num_cycles] = q_rows
+    # An output that is a flop Q (through an aliased buffer) reads a row
+    # the latch has already overwritten: it shows the held state.
+    held = (out_slots >= program.q_start) & (out_slots < program.q_stop)
+    outputs[:, held] = states[:-1, out_slots[held] - program.q_start]
+    return GoldenTrace(num_cycles, _pack_rows(outputs), _pack_rows(states))
 
 
 def _lanes_of(words: np.ndarray) -> np.ndarray:
@@ -420,7 +444,6 @@ class FusedEngine(GradingEngine):
         program = fused_program_for(compiled)
         num_cycles = testbench.num_cycles
         schedule = schedule_for(faults, num_cycles, len(program.q_slots))
-        # Golden words pre-unpacked to mask rows, cached per stimulus.
         masks = _masks_for(program, testbench, golden)
         if schedule.simple:
             fail_cycle, vanish_cycle, stats = self._grade_seu(

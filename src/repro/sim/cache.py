@@ -48,6 +48,7 @@ from weakref import WeakKeyDictionary
 
 from repro.netlist.netlist import Netlist
 from repro.netlist.textio import dumps_netlist
+from repro.sim.backends.fused import clear_program_cache, golden_trace
 from repro.sim.compile import CompiledNetlist, compile_netlist
 from repro.sim.cycle import GoldenTrace, run_golden
 from repro.sim.vectors import Testbench
@@ -363,9 +364,11 @@ def compiled_for(netlist_or_compiled) -> CompiledNetlist:
 def golden_for(compiled: CompiledNetlist, testbench: Testbench) -> GoldenTrace:
     """Run (or reuse) the golden trace for ``compiled`` under ``testbench``.
 
-    Keyed by (netlist digest, stimulus digest) — the exact key the disk
-    layer uses, so in-process callers, pooled workers and separate runs
-    of the same campaign all resolve to one artifact.
+    Computed by the native kernel's golden pass, or by the scalar
+    :func:`run_golden` when the kernel is unavailable. Keyed by
+    (netlist digest, stimulus digest) — the exact key the disk layer
+    uses, so in-process callers, pooled workers and separate runs of the
+    same campaign all resolve to one artifact.
     """
     key = (netlist_digest(compiled.source), testbench.stimulus_digest())
     try:
@@ -380,7 +383,9 @@ def golden_for(compiled: CompiledNetlist, testbench: Testbench) -> GoldenTrace:
     )
     golden = disk.load_golden(*key) if disk is not None else None
     if golden is None:
-        golden = run_golden(compiled, testbench)
+        golden = golden_trace(compiled, testbench)
+        if golden is None:
+            golden = run_golden(compiled, testbench)
         if disk is not None:
             disk.store_golden(key[0], key[1], golden)
     _evict_oldest(_GOLDEN, _MAX_GOLDEN)
@@ -391,8 +396,6 @@ def golden_for(compiled: CompiledNetlist, testbench: Testbench) -> GoldenTrace:
 def clear_caches() -> None:
     """Drop every session-cached compiled netlist, golden trace and fused
     program (the disk layer is untouched)."""
-    from repro.sim.backends.fused import clear_program_cache
-
     _COMPILED.clear()
     _GOLDEN.clear()
     clear_program_cache()

@@ -1,9 +1,10 @@
 """Scalar cycle-based simulation.
 
 :class:`CycleSimulator` steps a compiled netlist one clock at a time with
-plain Python ints. It is the reference implementation: the golden run that
-feeds the emulation RAM model, the per-fault replay used to cross-check the
-bit-parallel oracle, and the engine behind the examples.
+plain Python ints. It is the reference implementation: the golden run the
+native kernel's golden pass is checked against (and the golden run itself
+when the kernel is unavailable), the per-fault replay used to cross-check
+the bit-parallel oracle, and the engine behind the examples.
 
 Clocking model (shared by every simulator and by the campaign cycle
 accounting): during cycle ``t`` the flops hold state ``s_t``; inputs

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.circuits.registry import available_circuits, build_circuit
 from repro.emu.controller import build_controller
+from repro.emu.instrument import TECHNIQUES
 from repro.emu.system import AutonomousEmulator, merge_system
 from repro.errors import CampaignError, InstrumentationError
 from repro.netlist.validate import validate_netlist
 from repro.sim.compile import compile_netlist
 from repro.sim.vectors import random_testbench
-from tests.conftest import build_counter
+from tests.conftest import build_counter, build_toggle
 
 PARAMS = dict(
     num_inputs=4,
@@ -131,6 +133,20 @@ class TestMergedSystem:
         assert compiled.num_flops == (
             emulator.instrumented.netlist.num_ffs
             + emulator.controller_netlist(16, 64).num_ffs
+        )
+
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    @pytest.mark.parametrize("name", available_circuits() + ["toggle"])
+    def test_every_registered_circuit_merges(self, name, technique):
+        """Single-output circuits (b02, b09) have a bare ``obs`` port and
+        one-flop circuits (toggle) a bare ``circ_state``: both must be
+        driven by the circuit, not left system inputs."""
+        circuit = build_toggle() if name == "toggle" else build_circuit(name)
+        merged = AutonomousEmulator(circuit, technique).merged_system_netlist()
+        validate_netlist(merged, allow_dangling=True)
+        compile_netlist(merged)
+        assert all(
+            net.startswith(("ctl.start", "ctl.ram_rdata")) for net in merged.inputs
         )
 
     def test_merged_boundary_is_ram_and_handshake(self, counter):

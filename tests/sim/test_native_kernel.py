@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.faults.model import exhaustive_fault_list
 from repro.sim.backends import get_engine
 from repro.sim.backends._native import (
@@ -19,6 +20,8 @@ from repro.sim.backends._native import (
     default_threads,
     native_kernel,
 )
+from repro.sim.compile import compile_netlist
+from repro.sim.cycle import run_golden
 from repro.sim.parallel import grade_faults
 from repro.sim.vectors import random_testbench
 from tests.property.randnet import random_netlist
@@ -105,3 +108,15 @@ def test_compaction_reported_and_exact_on_b14_sample():
     reference = grade_faults(netlist, bench, faults, backend="numpy")
     assert list(fused.fail_cycles) == list(reference.fail_cycles)
     assert list(fused.vanish_cycles) == list(reference.vanish_cycles)
+
+
+def test_short_golden_is_rejected_before_the_kernel_runs():
+    """The kernel reads golden rows by raw address, so a trace shorter
+    than the testbench must be refused, not read past its end."""
+    netlist = random_netlist(3)
+    bench = random_testbench(netlist, 12, seed=3)
+    compiled = compile_netlist(netlist)
+    golden = run_golden(compiled, random_testbench(netlist, 11, seed=3))
+    faults = exhaustive_fault_list(netlist, bench.num_cycles)
+    with pytest.raises(SimulationError, match="shorter than the testbench"):
+        get_engine("fused").grade(compiled, bench, faults, golden)
