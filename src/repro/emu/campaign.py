@@ -44,10 +44,10 @@ from repro.errors import CampaignError
 from repro.faults.classify import FaultClass
 from repro.faults.dictionary import FaultDictionary
 from repro.faults.model import (
-    FaultArray,
     SeuFault,
     exhaustive_fault_list,
     fault_columns,
+    fault_model_of,
 )
 from repro.netlist.netlist import Netlist
 from repro.sim.parallel import DEFAULT_BACKEND, FaultGradingResult, grade_faults
@@ -120,10 +120,6 @@ def run_campaign(
     if scan_chains < 1:
         raise CampaignError("scan_chains must be at least 1")
 
-    if isinstance(faults, FaultArray):
-        persistent = faults.fault_type.persistent
-    else:
-        persistent = any(fault.persistent for fault in faults)
     breakdown = technique_breakdown(
         technique,
         fault_cycles=fault_columns(faults)[0],
@@ -131,7 +127,7 @@ def run_campaign(
         vanish_cycles=oracle.vanish_cycles,
         num_cycles=testbench.num_cycles,
         scan_in_cycles=scan_in_cost(netlist.num_ffs, scan_chains),
-        persistent=persistent,
+        persistent=fault_model_of(faults)[0].persistent,
     )
 
     ram = ram_layout_for(

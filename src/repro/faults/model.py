@@ -9,11 +9,11 @@ the b14 experiment.
 :class:`SeuFault` doubles as the base class for every other fault model
 (:mod:`repro.faults.models`): a fault is, generically, a set of one-shot
 bit *flips* at its injection cycle plus an optional per-cycle *force* on
-its flop. The grading engines consume exactly that protocol
-(:meth:`SeuFault.flip_flops`, :meth:`SeuFault.force_value`,
-:meth:`SeuFault.force_active`), so plain SEUs keep their original
-fast path while multi-bit, stuck-at and intermittent faults share the
-same campaign machinery.
+its flop. :meth:`SeuFault.injection_events` emits a whole column of
+faults' events at once for the grading engines (:mod:`repro.sim.inject`);
+:meth:`SeuFault.flip_flops`, :meth:`SeuFault.force_active` and
+:meth:`SeuFault.apply_force` state one fault's semantics independently,
+for the serial reference replay the engines are checked against.
 
 Populations are not lists of those objects: a :class:`FaultArray` holds
 one model's faults as cycle and flop columns and builds a fault object
@@ -23,8 +23,8 @@ only when one is indexed.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,16 @@ from repro.netlist.netlist import Netlist
 #: outcomes — and of packed outcome bytes: little-endian int32 on every
 #: host, so workers, clients, stores and digests agree byte for byte
 CYCLE_DTYPE = np.dtype("<i4")
+
+#: injection event ops (``uint8``): one-shot XOR, force to 0 / to 1 (the
+#: force stays on until released), release the force
+FLIP, FORCE0, FORCE1, RELEASE = 0, 1, 2, 3
+
+#: ``(cycle, flop, lane, op)`` event columns; ``lane`` indexes the fault
+Events = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: fault fields that identify one fault; the others are model parameters
+_IDENTITY = ("cycle", "flop_index", "flop_name")
 
 
 @dataclass(frozen=True, order=True)
@@ -66,34 +76,32 @@ class SeuFault:
             )
 
     # ------------------------------------------------------------------
-    # the generic injection protocol (overridden by other fault models)
+    # the injection semantics (overridden by other fault models)
     # ------------------------------------------------------------------
+    @classmethod
+    def injection_events(cls, cycles, flops, num_cycles: int) -> Events:
+        """Events of faults ``(cycles[i], flops[i])`` (lane ``i``) over cycles
+        ``0..num_cycles`` (the last is the post-bench state the final
+        compare reads); model parameters arrive as keywords."""
+        lanes = np.arange(len(cycles))
+        return cycles, flops, lanes, np.full(len(lanes), FLIP, np.uint8)
+
     def flip_flops(self) -> Tuple[int, ...]:
         """Flop indices whose bits are flipped once, at ``self.cycle``."""
         return (self.flop_index,)
-
-    def force_value(self) -> Optional[int]:
-        """The value this fault forces onto its flop (None: no forcing)."""
-        return None
 
     def force_active(self, cycle: int) -> bool:
         """Whether the force is applied during ``cycle`` (state held at
         the start of that cycle). Transient faults never force."""
         return False
 
-    def force_events(self, num_cycles: int) -> List[Tuple[int, bool]]:
-        """``(cycle, turned_on)`` transitions of the force over cycles
-        ``0..num_cycles`` inclusive — ``num_cycles`` covers the state the
-        circuit is left in after the bench, which classification compares
-        against the golden final state."""
-        return []
-
     def apply_force(self, state: int, cycle: int) -> int:
-        """Packed-state helper for the serial reference replay."""
+        """Packed-state helper for the serial reference replay (only the
+        forcing models, which carry a ``value``, are ever active)."""
         if not self.force_active(cycle):
             return state
         bit = 1 << self.flop_index
-        if self.force_value():
+        if self.value:
             return state | bit
         return state & ~bit
 
@@ -174,6 +182,29 @@ def fault_columns(faults: Sequence[SeuFault]) -> Tuple[np.ndarray, np.ndarray]:
     cycles = np.fromiter((fault.cycle for fault in faults), CYCLE_DTYPE, count)
     flops = np.fromiter((fault.flop_index for fault in faults), CYCLE_DTYPE, count)
     return cycles, flops
+
+
+def fault_model_of(faults: Sequence[SeuFault]) -> Tuple[type, Dict[str, object]]:
+    """The fault class (hence ``persistent``) and model parameters shared by
+    ``faults``: a :class:`FaultArray` names both; a list is read fault by
+    fault and refused if it mixes models or parameters."""
+    if isinstance(faults, FaultArray):
+        keywords = getattr(faults.factory, "keywords", {})
+        return faults.fault_type, {**_model_params(faults.fault_type), **keywords}
+    models = {(type(fault), tuple(_model_params(fault).items())) for fault in faults}
+    if len(models) > 1:
+        raise CampaignError(
+            "fault list mixes fault models or parameters; grade one "
+            "model's faults at a time"
+        )
+    fault_type, params = models.pop() if models else (SeuFault, ())
+    return fault_type, dict(params)
+
+
+def _model_params(fault) -> Dict[str, object]:
+    """A fault's (or a fault class's default) model parameters."""
+    names = [field.name for field in fields(fault) if field.name not in _IDENTITY]
+    return {name: getattr(fault, name) for name in names}
 
 
 def model_population(

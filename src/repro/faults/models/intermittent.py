@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from repro.errors import CampaignError
-from repro.faults.model import FaultArray, SeuFault, model_population
+from repro.faults.model import FORCE0, RELEASE, Events, FaultArray, SeuFault
+from repro.faults.model import model_population
 from repro.faults.models.base import (
     FaultModel,
     register_model_prefix,
@@ -30,6 +33,15 @@ from repro.netlist.netlist import Netlist
 
 DEFAULT_PERIOD = 4
 DEFAULT_DUTY = 2
+
+
+def _check_params(value: int, period: int, duty: int) -> None:
+    if value not in (0, 1):
+        raise CampaignError(f"intermittent value must be 0 or 1, got {value}")
+    if period < 2:
+        raise CampaignError(f"intermittent period must be at least 2, got {period}")
+    if not 1 <= duty < period:
+        raise CampaignError(f"intermittent duty must be in [1, period), got {duty}")
 
 
 @dataclass(frozen=True, order=True)
@@ -45,40 +57,32 @@ class IntermittentFault(SeuFault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.value not in (0, 1):
-            raise CampaignError(
-                f"intermittent value must be 0 or 1, got {self.value}"
-            )
-        if self.period < 2:
-            raise CampaignError(
-                f"intermittent period must be at least 2, got {self.period}"
-            )
-        if not 1 <= self.duty < self.period:
-            raise CampaignError(
-                f"intermittent duty must be in [1, period), got {self.duty}"
-            )
+        _check_params(self.value, self.period, self.duty)
+
+    @classmethod
+    def injection_events(
+        cls, cycles, flops, num_cycles: int, *, value, period, duty
+    ) -> Events:
+        """A force-on every ``period`` cycles from onset, each released
+        ``duty`` cycles later; only events within ``0..num_cycles``."""
+        onsets = np.asarray(cycles, dtype=np.int64)
+        counts = np.maximum((num_cycles - onsets) // period + 1, 0)
+        lanes = np.repeat(np.arange(len(onsets)), counts)
+        nth = np.arange(len(lanes)) - np.repeat(np.cumsum(counts) - counts, counts)
+        starts = onsets[lanes] + nth * period
+        cycle = np.concatenate([starts, starts + duty])
+        lane = np.tile(lanes, 2)
+        op = np.repeat(np.array([FORCE0 + value, RELEASE], np.uint8), len(lanes))
+        keep = cycle <= num_cycles
+        return cycle[keep], flops[lane[keep]], lane[keep], op[keep]
 
     def flip_flops(self) -> Tuple[int, ...]:
         return ()
-
-    def force_value(self) -> Optional[int]:
-        return self.value
 
     def force_active(self, cycle: int) -> bool:
         if cycle < self.cycle:
             return False
         return (cycle - self.cycle) % self.period < self.duty
-
-    def force_events(self, num_cycles: int) -> List[Tuple[int, bool]]:
-        events = []
-        start = self.cycle
-        while start <= num_cycles:
-            events.append((start, True))
-            release = start + self.duty
-            if release <= num_cycles:
-                events.append((release, False))
-            start += self.period
-        return events
 
     def describe(self) -> str:
         name = self.flop_name or f"flop[{self.flop_index}]"
@@ -99,9 +103,8 @@ class IntermittentModel(FaultModel):
         duty: int = DEFAULT_DUTY,
         value: int = 1,
     ):
-        # Fault construction validates the parameters; build one early so
-        # bad model names fail at spec time, not mid-campaign.
-        IntermittentFault(cycle=0, flop_index=0, value=value, period=period, duty=duty)
+        # bad model names fail at spec time, not mid-campaign
+        _check_params(value, period, duty)
         self.period = period
         self.duty = duty
         self.value = value

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Tuple
 
+import numpy as np
+
 from repro.errors import CampaignError
-from repro.faults.model import FaultArray, SeuFault, model_population
+from repro.faults.model import FLIP, Events, FaultArray, SeuFault
+from repro.faults.model import model_population
 from repro.faults.models.base import (
     FaultModel,
     register_model,
@@ -40,6 +43,13 @@ class MbuFault(SeuFault):
         super().__post_init__()
         if self.width < 1:
             raise CampaignError(f"MBU width must be positive, got {self.width}")
+
+    @classmethod
+    def injection_events(cls, cycles, flops, num_cycles: int, *, width) -> Events:
+        """``width`` flips per fault, at its cycle, on its run of flops."""
+        lanes = np.repeat(np.arange(len(cycles)), width)
+        run = flops[lanes] + np.tile(np.arange(width), len(cycles))
+        return cycles[lanes], run, lanes, np.full(len(lanes), FLIP, np.uint8)
 
     def flip_flops(self) -> Tuple[int, ...]:
         return tuple(range(self.flop_index, self.flop_index + self.width))

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from repro.errors import CampaignError
-from repro.faults.model import FaultArray, SeuFault, model_population
+from repro.faults.model import FORCE0, Events, FaultArray, SeuFault
+from repro.faults.model import model_population
 from repro.faults.models.base import FaultModel, register_model
 from repro.netlist.netlist import Netlist
 
@@ -42,19 +45,18 @@ class StuckAtFault(SeuFault):
                 f"stuck-at value must be 0 or 1, got {self.value}"
             )
 
+    @classmethod
+    def injection_events(cls, cycles, flops, num_cycles: int, *, value) -> Events:
+        """One force-on at each onset; nothing releases it."""
+        lanes = np.flatnonzero(cycles <= num_cycles)
+        ops = np.full(len(lanes), FORCE0 + value, np.uint8)
+        return cycles[lanes], flops[lanes], lanes, ops
+
     def flip_flops(self) -> Tuple[int, ...]:
         return ()
 
-    def force_value(self) -> Optional[int]:
-        return self.value
-
     def force_active(self, cycle: int) -> bool:
         return cycle >= self.cycle
-
-    def force_events(self, num_cycles: int) -> List[Tuple[int, bool]]:
-        if self.cycle > num_cycles:
-            return []
-        return [(self.cycle, True)]
 
     def describe(self) -> str:
         name = self.flop_name or f"flop[{self.flop_index}]"

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.model import SeuFault
+from repro.faults.model import FLIP, FORCE1, RELEASE, SeuFault
 from repro.sim.backends.base import GradingEngine, register_engine
 from repro.sim.compile import (
     OP_AND,
@@ -233,24 +233,26 @@ class BigintEngine(GradingEngine):
         forced_rows: set = set()
 
         activations: Dict[int, int] = {}
-        for lane, cycle in enumerate(schedule.first_active):
+        for lane, cycle in enumerate(schedule.first_active.tolist()):
             activations[cycle] = activations.get(cycle, 0) | (1 << lane)
 
         state = {"injected": 0, "no_candidate": all_ones}
+        columns = (schedule.flop, schedule.lane, schedule.op)
+        events = list(zip(*(column.tolist() for column in columns)))
 
         def apply_cycle_events(cycle: int) -> None:
-            for flop_index, lane in schedule.flips.get(cycle, ()):
-                values[q_slots[flop_index]] ^= 1 << lane
-            for flop_index, lane, value in schedule.force_on.get(cycle, ()):
+            for flop_index, lane, op in events[schedule.events(cycle)]:
                 bit = 1 << lane
-                force_mask[flop_index] |= bit
-                if value:
-                    force_set[flop_index] |= bit
-                forced_rows.add(flop_index)
-            for flop_index, lane in schedule.force_off.get(cycle, ()):
-                bit = 1 << lane
-                force_mask[flop_index] &= ~bit
-                force_set[flop_index] &= ~bit
+                if op == FLIP:
+                    values[q_slots[flop_index]] ^= bit
+                elif op == RELEASE:
+                    force_mask[flop_index] &= ~bit
+                    force_set[flop_index] &= ~bit
+                else:
+                    force_mask[flop_index] |= bit
+                    if op == FORCE1:
+                        force_set[flop_index] |= bit
+                    forced_rows.add(flop_index)
             for flop_index in forced_rows:
                 slot = q_slots[flop_index]
                 values[slot] = (values[slot] & ~force_mask[flop_index]) | (

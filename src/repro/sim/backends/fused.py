@@ -26,9 +26,9 @@ per-cycle bookkeeping on small word vectors:
   injected fault has vanished and no injections remain, the cycle loop
   exits early — resolved campaigns do not pay for the tail of the
   testbench.
-* **Other fault models** — multi-flop flips, per-cycle force bit-planes
-  and final-suffix vanish tracking are applied to the q rows in Python;
-  the kernel then simulates the cycle over the full lane width.
+* **Other fault models** — :class:`~repro.sim.inject.WordInjector`
+  applies the columnar schedule's flips and force bit-planes to the q
+  rows; the kernel then simulates each cycle at full lane width.
 
 Each grade allocates its own value array and scratch, so concurrent
 grades on one compiled netlist share only read-only tables. Without the
@@ -40,7 +40,7 @@ every engine and the serial replay are cross-checked in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -50,7 +50,7 @@ from repro.faults.model import SeuFault, fault_columns
 from repro.sim.backends import numpy_engine as _numpy_engine  # noqa: F401
 from repro.sim.backends._native import MAX_THREADS, native_kernel
 from repro.sim.backends.base import GradingEngine, get_engine, register_engine
-from repro.sim.inject import schedule_for
+from repro.sim.inject import WordInjector, schedule_for
 from repro.sim.compile import (
     OP_AND,
     OP_BUF,
@@ -633,7 +633,7 @@ class FusedEngine(GradingEngine):
         schedule,
         num_cycles: int,
     ) -> tuple:
-        """Full-width grading: Python injection, one kernel call a cycle.
+        """Full-width grading: columnar injection, one kernel call a cycle.
 
         Persistent faults are incompatible with the SEU path's two core
         optimizations — lane retirement (a forced lane can re-diverge)
@@ -660,42 +660,10 @@ class FusedEngine(GradingEngine):
 
         fail_cycle = np.full(num_faults, -1, dtype=np.int32)
         vanish_cycle = np.full(num_faults, -1, dtype=np.int32)
-        injected = np.zeros(num_words, dtype=np.uint64)
+        injector = WordInjector(schedule, num_flops, num_words)
+        injected = injector.injected
         not_failed = valid.copy()
         no_candidate = valid.copy()
-
-        force_mask = np.zeros((num_flops, num_words), dtype=np.uint64)
-        force_set = np.zeros((num_flops, num_words), dtype=np.uint64)
-        forcing = False
-
-        activations: Dict[int, np.ndarray] = {}
-        lane_groups: Dict[int, List[int]] = {}
-        for lane, cycle in enumerate(schedule.first_active):
-            lane_groups.setdefault(cycle, []).append(lane)
-        for cycle, lanes_at in lane_groups.items():
-            mask = np.zeros(num_words, dtype=np.uint64)
-            for lane in lanes_at:
-                mask[lane >> 6] |= np.uint64(1 << (lane & 63))
-            activations[cycle] = mask
-        last_activation = max(lane_groups) if lane_groups else -1
-
-        def apply_cycle_events(cycle: int) -> None:
-            nonlocal forcing
-            for flop_index, lane in schedule.flips.get(cycle, ()):
-                q_view[flop_index, lane >> 6] ^= np.uint64(1 << (lane & 63))
-            for flop_index, lane, value in schedule.force_on.get(cycle, ()):
-                bit = np.uint64(1 << (lane & 63))
-                force_mask[flop_index, lane >> 6] |= bit
-                if value:
-                    force_set[flop_index, lane >> 6] |= bit
-                forcing = True
-            for flop_index, lane in schedule.force_off.get(cycle, ()):
-                bit = np.uint64(1 << (lane & 63))
-                force_mask[flop_index, lane >> 6] &= ~bit
-                force_set[flop_index, lane >> 6] &= ~bit
-            if forcing:
-                np.bitwise_and(q_view, ~force_mask, out=q_view)
-                np.bitwise_or(q_view, force_set, out=q_view)
 
         def update_vanish(cycle: int, end_cycle: int) -> None:
             """Vanished-by-``end_cycle`` bookkeeping: compare the state
@@ -713,12 +681,10 @@ class FusedEngine(GradingEngine):
                 np.bitwise_or(no_candidate, lost, out=no_candidate)
 
         for cycle in range(num_cycles):
-            apply_cycle_events(cycle)
+            injector.apply(cycle, q_view)
             if cycle > 0:
                 update_vanish(cycle, cycle - 1)
-            mask = activations.get(cycle)
-            if mask is not None:
-                np.bitwise_or(injected, mask, out=injected)
+            injector.activate(cycle)
 
             run_cycle(cycle, num_words)
 
@@ -729,7 +695,7 @@ class FusedEngine(GradingEngine):
 
             if (
                 not schedule.persistent
-                and cycle >= last_activation
+                and cycle >= injector.last_activation
                 and not no_candidate.any()
             ):
                 # Transient faults cannot re-diverge: every lane has
@@ -737,6 +703,6 @@ class FusedEngine(GradingEngine):
                 # final — skip the tail (and the post-bench compare).
                 return fail_cycle, vanish_cycle, {"cycles_executed": cycle + 1}
 
-        apply_cycle_events(num_cycles)
+        injector.apply(num_cycles, q_view)
         update_vanish(num_cycles, num_cycles - 1)
         return fail_cycle, vanish_cycle, {"cycles_executed": num_cycles}

@@ -14,7 +14,7 @@ adds multi-flop flips and per-cycle force-mask re-application driven by an
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.sim.compile import (
     CompiledNetlist,
 )
 from repro.sim.cycle import GoldenTrace
-from repro.sim.inject import schedule_for
+from repro.sim.inject import WordInjector, schedule_for
 from repro.sim.vectors import Testbench
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -221,7 +221,7 @@ class NumpyEngine(GradingEngine):
         num_words = (num_faults + 63) // 64
         ones = _ONES
         num_flops = compiled.num_flops
-        q_slots = [flop.q_index for flop in compiled.flops]
+        q_slots = np.array([flop.q_index for flop in compiled.flops], dtype=np.intp)
 
         values = np.zeros((compiled.num_slots, num_words), dtype=np.uint64)
         reset = golden.states[0]
@@ -232,43 +232,15 @@ class NumpyEngine(GradingEngine):
         vanish_cycle = np.full(num_faults, -1, dtype=np.int32)
 
         # Word-plane bookkeeping (bit i of word w = lane w*64+i).
-        injected = np.zeros(num_words, dtype=np.uint64)
+        injector = WordInjector(schedule, num_flops, num_words)
+        injected = injector.injected
         not_failed = np.full(num_words, ones, dtype=np.uint64)
         no_candidate = np.full(num_words, ones, dtype=np.uint64)
 
-        # Per-flop force planes, re-applied to the held state every cycle.
-        force_mask = np.zeros((num_flops, num_words), dtype=np.uint64)
-        force_set = np.zeros((num_flops, num_words), dtype=np.uint64)
-        forced_rows: set = set()
-
-        activations: Dict[int, List[int]] = {}
-        for lane, cycle in enumerate(schedule.first_active):
-            activations.setdefault(cycle, []).append(lane)
-
-        def lane_bit(lane: int) -> Tuple[int, np.uint64]:
-            return lane >> 6, np.uint64(1 << (lane & 63))
-
         def apply_cycle_events(cycle: int) -> None:
-            """Flips, force transitions and plane re-application for
-            the state held during ``cycle``."""
-            for flop_index, lane in schedule.flips.get(cycle, ()):
-                word, bit = lane_bit(lane)
-                values[q_slots[flop_index], word] ^= bit
-            for flop_index, lane, value in schedule.force_on.get(cycle, ()):
-                word, bit = lane_bit(lane)
-                force_mask[flop_index, word] |= bit
-                if value:
-                    force_set[flop_index, word] |= bit
-                forced_rows.add(flop_index)
-            for flop_index, lane in schedule.force_off.get(cycle, ()):
-                word, bit = lane_bit(lane)
-                force_mask[flop_index, word] &= ~bit
-                force_set[flop_index, word] &= ~bit
-            for flop_index in forced_rows:
-                slot = q_slots[flop_index]
-                values[slot] = (values[slot] & ~force_mask[flop_index]) | (
-                    force_set[flop_index]
-                )
+            held = values[q_slots]  # gathered, injected, scattered back
+            injector.apply(cycle, held)
+            values[q_slots] = held
 
         def update_vanish(state_word: int, end_cycle: int) -> None:
             """Candidate bookkeeping for "vanished by the end of
@@ -295,9 +267,7 @@ class NumpyEngine(GradingEngine):
             apply_cycle_events(cycle)
             if cycle > 0:
                 update_vanish(golden.states[cycle], cycle - 1)
-            for lane in activations.get(cycle, ()):
-                word, bit = lane_bit(lane)
-                injected[word] |= bit
+            injector.activate(cycle)
 
             vector = testbench.vectors[cycle]
             for position, slot in enumerate(compiled.input_slots):

@@ -1,40 +1,35 @@
-"""Model-agnostic injection schedules for the grading engines.
+"""Columnar injection schedules for the grading engines.
 
-The engines' original inner loops assume every fault is a plain SEU: one
-XOR into one flop at one cycle, after which the lane evolves freely. The
-other fault models break both assumptions — MBUs flip several flops at
-once, stuck-at and intermittent faults *force* a flop every cycle — so
-each engine gains a generic execution branch driven by the
-:class:`InjectionSchedule` built here:
+The engines' SEU loops assume one XOR into one flop at one cycle. MBUs
+flip several flops at once and stuck-at and intermittent faults *force*
+a flop every cycle, so each engine has a generic branch driven by an
+:class:`InjectionSchedule`: one CSR table whose cycle-``c`` events are
+rows ``offsets[c]`` to ``offsets[c + 1]`` of the ``flop``, ``lane`` and
+``op`` columns (``op`` is :data:`~repro.faults.model.FLIP`, ``FORCE0``,
+``FORCE1`` or ``RELEASE``), emitted by the fault class's vectorised
+``injection_events`` from the population's columns. Engines accumulate
+the force rows into per-flop ``(mask, set)`` bit-planes and re-apply
+them to the held state every cycle — the mask-scan instrument's
+``ms_force`` override in array form. Cycle ``num_cycles`` carries the
+post-bench state's transitions, which the final SILENT/LATENT compare
+reads. All-SEU lists (``simple``) keep their original fast paths.
 
-* ``flips``      — per-cycle one-shot XOR events ``(flop_index, lane)``;
-* ``force_on`` / ``force_off`` — per-cycle transitions of the per-lane
-  force masks ``(flop_index, lane, value)`` / ``(flop_index, lane)``;
-  engines accumulate them into ``(mask, set)`` bit-planes and re-apply
-  those planes to the held state every cycle — the per-cycle mask
-  re-application that one-shot XOR cannot express. Cycle ``num_cycles``
-  carries the transitions governing the *post-bench* state, which the
-  final SILENT/LATENT compare uses;
-* ``first_active`` — each lane's injection cycle (fail/vanish gating).
-
-When every fault is a plain transient single-flip (``simple``), engines
-skip all of this and run their original fast path on the original arrays
-— the seed SEU results stay bit-exact by construction.
-
-Vanish semantics differ for persistent schedules: a forced lane that
-matches the golden state can diverge again, so ``vanish_cycle`` is the
-start of the lane's *final* golden-equal suffix (candidate set on
-convergence, reset on re-divergence) rather than the first match. For
-transient faults the two definitions coincide.
+A forced lane that matches the golden state can diverge again, so
+``vanish_cycle`` is the start of a lane's *final* golden-equal suffix
+(for transient faults, the first match).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import CampaignError
-from repro.faults.model import FaultArray, SeuFault
+from repro.faults.model import (
+    FLIP, FORCE1, RELEASE, SeuFault, fault_columns, fault_model_of
+)
 
 
 @dataclass
@@ -45,16 +40,19 @@ class InjectionSchedule:
     num_cycles: int
     #: every fault is a plain one-flop transient flip (legacy fast path)
     simple: bool
-    #: at least one fault re-applies a force each cycle
+    #: the faults re-apply a force each cycle
     persistent: bool
-    #: cycle -> [(flop_index, lane)]: one-shot XOR flips
-    flips: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
-    #: cycle -> [(flop_index, lane, value)]: force becomes active
-    force_on: Dict[int, List[Tuple[int, int, int]]] = field(default_factory=dict)
-    #: cycle -> [(flop_index, lane)]: force releases
-    force_off: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
+    #: ``num_cycles + 2`` row offsets, then the event columns
+    offsets: np.ndarray
+    flop: np.ndarray
+    lane: np.ndarray
+    op: np.ndarray
     #: per-lane injection cycle, fault-list order
-    first_active: List[int] = field(default_factory=list)
+    first_active: np.ndarray
+
+    def events(self, cycle: int) -> slice:
+        """The event rows of ``cycle``."""
+        return slice(int(self.offsets[cycle]), int(self.offsets[cycle + 1]))
 
 
 def schedule_for(
@@ -62,63 +60,84 @@ def schedule_for(
 ) -> InjectionSchedule:
     """Build the schedule for ``faults`` (validating flip/force targets).
 
-    The common all-SEU case is detected without materializing any event
-    lists or fault objects: a :class:`FaultArray` names its fault type,
-    and a list of faults costs one ``type`` check per fault.
+    The all-SEU case builds no events: a :class:`~repro.faults.model.
+    FaultArray` names its fault type, so it costs no fault object.
     """
-    if isinstance(faults, FaultArray):
-        simple = faults.fault_type is SeuFault
-    else:
-        simple = all(type(fault) is SeuFault for fault in faults)
+    fault_type, params = fault_model_of(faults)
+    simple = fault_type is SeuFault
     if simple:
-        return InjectionSchedule(
-            num_faults=len(faults),
-            num_cycles=num_cycles,
-            simple=True,
-            persistent=False,
+        cycle = flop = lane = op = first_active = np.zeros(0, dtype=np.intp)
+    else:
+        first_active, flops = fault_columns(faults)
+        cycle, flop, lane, op = fault_type.injection_events(
+            first_active, flops, num_cycles, **params
         )
-
-    schedule = InjectionSchedule(
-        num_faults=len(faults),
-        num_cycles=num_cycles,
-        simple=False,
-        persistent=False,
+    if (flop >= num_flops).any():
+        row = int(np.argmax(flop >= num_flops))
+        raise CampaignError(
+            f"{faults[int(lane[row])].describe()} "
+            f"{'flips' if op[row] == FLIP else 'forces'} flop {flop[row]}; "
+            f"circuit has only {num_flops} flops"
+        )
+    order = np.argsort(cycle, kind="stable")
+    return InjectionSchedule(
+        len(faults),
+        num_cycles,
+        simple,
+        fault_type.persistent,
+        np.searchsorted(cycle[order], np.arange(num_cycles + 2)),
+        flop[order].astype(np.intp),
+        lane[order].astype(np.intp),
+        op[order],
+        first_active,
     )
-    simple = True
-    for lane, fault in enumerate(faults):
-        schedule.first_active.append(fault.cycle)
-        schedule.persistent = schedule.persistent or fault.persistent
-        flips = fault.flip_flops()
-        force = fault.force_value()
-        if force is None and len(flips) == 1:
-            pass  # still expressible by the legacy path
-        else:
-            simple = False
-        for flop_index in flips:
-            if not 0 <= flop_index < num_flops:
-                raise CampaignError(
-                    f"{fault.describe()} flips flop {flop_index}; circuit "
-                    f"has only {num_flops} flops"
-                )
-            schedule.flips.setdefault(fault.cycle, []).append(
-                (flop_index, lane)
-            )
-        if force is not None:
-            if not 0 <= fault.flop_index < num_flops:
-                raise CampaignError(
-                    f"{fault.describe()}: circuit has only {num_flops} flops"
-                )
-            for cycle, turned_on in fault.force_events(num_cycles):
-                if turned_on:
-                    schedule.force_on.setdefault(cycle, []).append(
-                        (fault.flop_index, lane, force)
-                    )
-                else:
-                    schedule.force_off.setdefault(cycle, []).append(
-                        (fault.flop_index, lane)
-                    )
-    schedule.simple = simple and not schedule.persistent
-    return schedule
 
 
-__all__ = ["InjectionSchedule", "schedule_for"]
+class WordInjector:
+    """A schedule applied to lanes packed 64 to a ``uint64`` word (lane
+    ``i`` is bit ``i % 64`` of word ``i // 64``): the fused and numpy
+    engines' shared applier, on flat word indices of ``(flops, words)``
+    state and force planes."""
+
+    def __init__(self, schedule: InjectionSchedule, num_flops: int, num_words: int):
+        self.schedule = schedule
+        self.index = schedule.flop * num_words + (schedule.lane >> 6)
+        self.bits = _lane_bits(schedule.lane)
+        self.force_mask = np.zeros((num_flops, num_words), dtype=np.uint64)
+        self.force_set = np.zeros((num_flops, num_words), dtype=np.uint64)
+        first_active = schedule.first_active
+        self.onset_order = np.argsort(first_active, kind="stable")
+        self.onsets = np.searchsorted(
+            first_active[self.onset_order], np.arange(schedule.num_cycles + 2)
+        )
+        self.last_activation = int(first_active.max(initial=-1))
+        #: lanes whose injection cycle has been reached (:meth:`activate`)
+        self.injected = np.zeros(num_words, dtype=np.uint64)
+
+    def apply(self, cycle: int, q: np.ndarray) -> None:
+        """Flips, force transitions and force re-application for the
+        C-contiguous state ``q`` (one row per flop) held during ``cycle``."""
+        rows = self.schedule.events(cycle)
+        op, index, bits = self.schedule.op[rows], self.index[rows], self.bits[rows]
+        flip, off = op == FLIP, op == RELEASE
+        np.bitwise_xor.at(q.reshape(-1), index[flip], bits[flip])
+        planes = ((self.force_mask, ~(flip | off)), (self.force_set, op == FORCE1))
+        for plane, sets in planes:
+            np.bitwise_or.at(plane.reshape(-1), index[sets], bits[sets])
+            np.bitwise_and.at(plane.reshape(-1), index[off], ~bits[off])
+        if self.schedule.persistent:
+            np.bitwise_and(q, ~self.force_mask, out=q)
+            np.bitwise_or(q, self.force_set, out=q)
+
+    def activate(self, cycle: int) -> None:
+        """Mark the lanes injected at ``cycle`` in :attr:`injected`."""
+        lanes = self.onset_order[self.onsets[cycle] : self.onsets[cycle + 1]]
+        np.bitwise_or.at(self.injected, lanes >> 6, _lane_bits(lanes))
+
+
+def _lane_bits(lanes: np.ndarray) -> np.ndarray:
+    """Each lane's bit within its word."""
+    return np.left_shift(np.uint64(1), (lanes & 63).astype(np.uint64))
+
+
+__all__ = ["InjectionSchedule", "WordInjector", "schedule_for"]

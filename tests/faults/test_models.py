@@ -79,18 +79,14 @@ class TestFaultProtocol:
     def test_seu_is_transient_single_flip(self):
         fault = SeuFault(cycle=3, flop_index=1)
         assert fault.flip_flops() == (1,)
-        assert fault.force_value() is None
         assert not fault.persistent
-        assert fault.force_events(10) == []
 
     def test_stuck_at_forces_from_onset(self):
         fault = StuckAtFault(cycle=4, flop_index=2, value=1)
         assert fault.persistent
         assert fault.flip_flops() == ()
-        assert fault.force_value() == 1
         assert not fault.force_active(3)
         assert fault.force_active(4) and fault.force_active(99)
-        assert fault.force_events(10) == [(4, True)]
         assert fault.apply_force(0b000, 5) == 0b100
         assert fault.apply_force(0b111, 3) == 0b111  # inactive before onset
 
@@ -100,9 +96,6 @@ class TestFaultProtocol:
         )
         active = [cycle for cycle in range(12) if fault.force_active(cycle)]
         assert active == [2, 3, 6, 7, 10, 11]
-        events = fault.force_events(12)
-        assert events[0] == (2, True)
-        assert (4, False) in events and (6, True) in events
         assert fault.apply_force(0b1, 2) == 0b0
 
     def test_bad_parameters_rejected(self):

@@ -36,9 +36,17 @@ def built(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("sample", [None, 4000], ids=["exhaustive", "sampled"])
-def test_b14_campaign_builds_no_per_fault_objects(built, tmp_path, sample):
-    specs = [CampaignSpec("b14", technique, sample=sample, sampling="stratified")
+@pytest.mark.parametrize(
+    "fault_model, sample",
+    [("seu", None), ("seu", 4000), ("stuck_at_1", 4000), ("mbu:2", 4000),
+     ("intermittent:4:2", 4000)],
+    ids=["exhaustive", "sampled", "stuck_at_1", "mbu:2", "intermittent:4:2"],
+)
+def test_b14_campaign_builds_no_per_fault_objects(
+    built, tmp_path, fault_model, sample
+):
+    specs = [CampaignSpec("b14", technique, sample=sample, sampling="stratified",
+                          fault_model=fault_model)
              for technique in TECHNIQUES]
     with CampaignRunner(workers=1, store_root=str(tmp_path)) as runner:
         oracle = runner.grade(specs[0])

@@ -152,7 +152,7 @@ class TestFaultModelField:
         scenario = spec.scenario()
         assert len(scenario.faults) == scenario.netlist.num_ffs * 10
         assert all(fault.persistent for fault in scenario.faults)
-        assert all(fault.force_value() == 1 for fault in scenario.faults)
+        assert all(fault.value == 1 for fault in scenario.faults)
 
     def test_stratified_sample_covers_flops(self):
         spec = CampaignSpec(

@@ -36,19 +36,24 @@ class TestScheduleFor:
         faults = [SeuFault(cycle=1, flop_index=0), SeuFault(cycle=3, flop_index=2)]
         schedule = schedule_for(faults, 8, 4)
         assert schedule.simple and not schedule.persistent
-        assert schedule.flips == {}  # fast path never reads event lists
+        assert len(schedule.op) == 0  # fast path never reads events
 
     def test_mbu_is_transient_but_not_simple(self):
+        from repro.faults.model import FLIP
+
         faults = get_fault_model("mbu:2").population(build_counter(), 4)[:5]
         schedule = schedule_for(faults, 4, build_counter().num_ffs)
         assert not schedule.simple and not schedule.persistent
-        assert sum(len(v) for v in schedule.flips.values()) == 10
+        assert list(schedule.op) == [FLIP] * 10
+        assert schedule.offsets[-1] == 10
 
     def test_stuck_at_is_persistent(self):
+        from repro.faults.model import FORCE1
+
         faults = get_fault_model("stuck_at_1").population(build_counter(), 4)[:5]
         schedule = schedule_for(faults, 4, build_counter().num_ffs)
         assert schedule.persistent and not schedule.simple
-        assert sum(len(v) for v in schedule.force_on.values()) == 5
+        assert list(schedule.op) == [FORCE1] * 5
 
     def test_out_of_range_flip_rejected(self):
         from repro.errors import CampaignError
