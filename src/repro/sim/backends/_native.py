@@ -2,7 +2,7 @@
 
 A small C library, compiled lazily with the system C compiler on first
 use, that runs the fused engine's per-cycle simulation for every fault
-model. It provides three entry points:
+model. It provides these entry points:
 
 ``repro_grade_cycle``
     One full emulation cycle — input drive, the 2-input op program,
@@ -15,7 +15,19 @@ model. It provides three entry points:
     one per thread: writes are disjoint by construction, so the result
     is bit-exact regardless of thread count. The pool has a single job
     slot, so concurrent callers that use it take turns on a caller
-    mutex; a 1-thread call takes no lock.
+    mutex; a 1-thread call takes no lock. The golden trace and the
+    non-SEU fault models call it once per cycle.
+
+``repro_grade_seu``
+    A whole plain-SEU grade in one call: per cycle it seeds the newly
+    injected lanes from the golden state and flips their bits, runs
+    the cycle through the same pool dispatch as ``repro_grade_cycle``
+    (so thread count and the caller mutex behave alike), records fail
+    and vanish cycles by walking the per-word diffs bit by bit, and
+    squeezes re-converged lanes out of every flop row with a PEXT
+    compactor (BMI2 where available) so later cycles stream only live
+    lanes. It stops once every fault has been injected and vanished,
+    and returns the cycles executed and the repack count.
 
 ``repro_set_threads`` / ``repro_threads``
     Configure the persistent pthread worker pool. Pool threads are
@@ -25,20 +37,13 @@ model. It provides three entry points:
     width to 1. Fork is detected by pid and the pool and its locks are
     lazily rebuilt in the child, so multiprocessing workers stay safe.
 
-``repro_compact_rows``
-    Bit-level lane compaction: squeeze the kept bits (per a keep mask,
-    one bit per fault lane) of each row to the front, in place, using
-    PEXT where BMI2 is available. The fused engine uses this to drop
-    re-converged SEU lanes mid-campaign so the kernel only streams
-    live lanes — the dominant speedup on long convergence tails.
-
 No compiler, a failed compile, or ``REPRO_FUSED_NATIVE=0`` in the
 environment makes :func:`native_kernel` return ``None``; the fused
 engine then hands every grade to the ``numpy`` engine (same results,
 slower). The compiled library is cached under ``~/.cache`` keyed by a
 hash of the source and the CPU identity, so a machine pays the compile
-once. No third-party packages are involved — only ``ctypes`` and the
-toolchain already present on the host.
+once. Nothing beyond ``ctypes``, numpy and the toolchain already
+present on the host is involved.
 """
 
 from __future__ import annotations
@@ -52,8 +57,11 @@ import subprocess
 import tempfile
 from typing import Optional
 
+import numpy as np
+
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if defined(__BMI2__)
@@ -266,6 +274,47 @@ long repro_threads(void)
 #endif
 }
 
+/* Simulate one cycle over A's column range. When the pool is enabled
+ * the range is split into contiguous chunks, one per thread, at least
+ * 8 word columns each. */
+static void dispatch(struct gc_args *A)
+{
+    long span = A->w_stop - A->w_start;
+    A->parts = 1;
+    A->chunk = span;
+#ifndef REPRO_NO_THREADS
+    long parts = g_threads;
+    long maxp = span / 8;
+    if (maxp < 1) maxp = 1;
+    if (parts > maxp) parts = maxp;
+    if (parts > 1) {
+        call_lock();
+        long avail = pool_ensure(parts);
+        if (parts > avail) parts = avail;
+        if (parts < 2) pthread_mutex_unlock(&g_call_mx);
+    }
+    if (parts > 1) {
+        A->parts = parts;
+        A->chunk = (span + parts - 1) / parts;
+        pthread_mutex_lock(&g_mx);
+        g_args = *A;
+        g_pending = g_spawned;
+        g_gen++;
+        pthread_cond_broadcast(&g_cv_work);
+        pthread_mutex_unlock(&g_mx);
+        long hi0 = A->w_start + A->chunk;
+        if (hi0 > A->w_stop) hi0 = A->w_stop;
+        run_range(A, A->w_start, hi0, A->dtmp);
+        pthread_mutex_lock(&g_mx);
+        while (g_pending) pthread_cond_wait(&g_cv_done, &g_mx);
+        pthread_mutex_unlock(&g_mx);
+        pthread_mutex_unlock(&g_call_mx);
+        return;
+    }
+#endif
+    run_range(A, A->w_start, A->w_stop, A->dtmp);
+}
+
 void repro_grade_cycle(
     uint64_t *values, long width, long w_start, long w_stop,
     const int32_t *ops, long nops,
@@ -278,40 +327,9 @@ void repro_grade_cycle(
     struct gc_args A = {
         values, width, w_start, w_stop, ops, nops, in_mask, n_in,
         out_slots, out_mask, n_out, out_diff, d_slots, state_mask,
-        n_ff, q_start, state_diff, dtmp, 1, w_stop - w_start,
+        n_ff, q_start, state_diff, dtmp, 1, 0,
     };
-    long span = w_stop - w_start;
-#ifndef REPRO_NO_THREADS
-    long parts = g_threads;
-    long maxp = span / 8;  /* at least 8 word columns per thread */
-    if (maxp < 1) maxp = 1;
-    if (parts > maxp) parts = maxp;
-    if (parts > 1) {
-        call_lock();
-        long avail = pool_ensure(parts);
-        if (parts > avail) parts = avail;
-        if (parts < 2) pthread_mutex_unlock(&g_call_mx);
-    }
-    if (parts > 1) {
-        A.parts = parts;
-        A.chunk = (span + parts - 1) / parts;
-        pthread_mutex_lock(&g_mx);
-        g_args = A;
-        g_pending = g_spawned;
-        g_gen++;
-        pthread_cond_broadcast(&g_cv_work);
-        pthread_mutex_unlock(&g_mx);
-        long hi0 = w_start + A.chunk;
-        if (hi0 > w_stop) hi0 = w_stop;
-        run_range(&A, w_start, hi0, dtmp);
-        pthread_mutex_lock(&g_mx);
-        while (g_pending) pthread_cond_wait(&g_cv_done, &g_mx);
-        pthread_mutex_unlock(&g_mx);
-        pthread_mutex_unlock(&g_call_mx);
-        return;
-    }
-#endif
-    run_range(&A, w_start, w_stop, dtmp);
+    dispatch(&A);
 }
 
 /* ------------------------------------------------------------------ */
@@ -339,7 +357,7 @@ static inline uint64_t repro_pext(uint64_t x, uint64_t m)
  * place, across word columns [0, n_words). keep[w] selects the bits of
  * column w that survive. In-place is safe: the write cursor never gets
  * ahead of the read cursor. Returns the new word count. */
-long repro_compact_rows(
+static long compact_rows(
     uint64_t *values, long width, long row_start, long row_stop,
     const uint64_t *keep, long n_words)
 {
@@ -369,6 +387,132 @@ long repro_compact_rows(
     }
     return out_words;
 }
+
+/* ------------------------------------------------------------------ */
+/* a whole plain-SEU grade                                             */
+/* ------------------------------------------------------------------ */
+
+/* Lanes [0, n) of a 64-lane word, n clamped to [0, 64]. */
+static inline uint64_t lanes_below(long n)
+{
+    return n <= 0 ? 0 : n >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
+}
+
+/* Grade single-bit flips, one lane per fault, in one call. Sorted by
+ * injection cycle, lanes [bounds[t], bounds[t+1]) flip q row lane_q[i]
+ * at cycle t and report into fail/vanish[order[i]] (filled with -1).
+ * Lanes take packed positions as they are injected; once 1/16 of them
+ * (and at least 64) have re-converged, the live bits of every q row are
+ * squeezed to the front, and lane_map (packed position -> fault index)
+ * follows. Mask rows are contiguous, one per cycle (state: one per
+ * cycle boundary). Returns the cycles executed, -1 if out of memory. */
+long repro_grade_seu(
+    uint64_t *values, long width, const uint64_t *in_masks,
+    const uint64_t *out_masks, const uint64_t *state_masks,
+    const int32_t *ops, long nops, long n_in,
+    const int32_t *out_slots, long n_out, const int32_t *d_slots, long n_ff,
+    long q_start, long num_cycles, long num_faults,
+    const int64_t *bounds, const int64_t *lane_q, const int64_t *order,
+    int32_t *fail, int32_t *vanish, long *repacks)
+{
+    /* out_diff, state_diff, not_failed, not_vanished, lane_map, then D
+     * scratch with room for every pool chunk to round up */
+    long words = width + 1;
+    uint64_t *scratch = calloc(68 * words + n_ff * (words + 64), 8);
+    if (!scratch) return -1;
+    uint64_t *not_failed = scratch + 2 * words;
+    uint64_t *not_vanished = scratch + 3 * words;
+    int64_t *lane_map = (int64_t *)(scratch + 4 * words);
+    struct gc_args A = {
+        values, width, 0, 0, ops, nops, 0, n_in,
+        out_slots, 0, n_out, scratch, d_slots, 0,
+        n_ff, q_start, scratch + words, scratch + 68 * words, 1, 0,
+    };
+    long packed = 0;   /* packed positions in use */
+    long live = 0;     /* unresolved lanes among them */
+    long n_act = 0;    /* active word columns: ceil(packed / 64) */
+    long executed = 0;
+    *repacks = 0;
+
+    for (long cycle = 0; cycle < num_cycles; cycle++) {
+        long first = bounds[cycle], last = bounds[cycle + 1];
+        if (last > first) {
+            /* Seed the new positions with this cycle's golden state
+             * (mask-merged: boundary words may hold live lanes), then
+             * flip each injected flop bit. */
+            long top = packed + last - first;
+            const uint64_t *golden = state_masks + cycle * n_ff;
+            n_act = (top + 63) >> 6;
+            for (long w = packed >> 6; w < n_act; w++) {
+                uint64_t fresh = lanes_below(top - (w << 6)) &
+                                 ~lanes_below(packed - (w << 6));
+                for (long f = 0; f < n_ff; f++) {
+                    uint64_t *q = values + (q_start + f) * width + w;
+                    *q = (*q & ~fresh) | (golden[f] & fresh);
+                }
+                not_failed[w] |= fresh;
+                not_vanished[w] |= fresh;
+            }
+            for (long i = first; i < last; i++, packed++) {
+                values[lane_q[i] * width + (packed >> 6)] ^=
+                    (uint64_t)1 << (packed & 63);
+                lane_map[packed] = order[i];
+            }
+            live += last - first;
+        }
+        if (live == 0) {
+            if (last == num_faults) {
+                executed = cycle;
+                break;
+            }
+            continue;
+        }
+        executed = cycle + 1;
+
+        A.w_stop = n_act;
+        A.in_mask = in_masks + cycle * n_in;
+        A.out_mask = out_masks + cycle * n_out;
+        A.state_mask = state_masks + (cycle + 1) * n_ff;
+        dispatch(&A);
+
+        for (long w = 0; w < n_act; w++) {
+            uint64_t failed = A.out_diff[w] & not_failed[w];
+            uint64_t vanished = ~A.state_diff[w] & not_vanished[w];
+            for (uint64_t b = failed; b; b &= b - 1)
+                fail[lane_map[(w << 6) + __builtin_ctzll(b)]] = (int32_t)cycle;
+            for (uint64_t b = vanished; b; b &= b - 1)
+                vanish[lane_map[(w << 6) + __builtin_ctzll(b)]] = (int32_t)cycle;
+            /* A vanished lane tracks golden forever, so it can never
+             * fail later: clearing it keeps its (now possibly stale)
+             * bits inert through skipped cycles and repacks. */
+            not_failed[w] &= ~(failed | vanished);
+            not_vanished[w] &= ~vanished;
+            live -= __builtin_popcountll(vanished);
+        }
+        if (live == 0 && last == num_faults) break;
+
+        long dead = packed - live;
+        if (dead >= 64 && dead * 16 >= packed) {
+            long kept = 0;
+            for (long w = 0; w < n_act; w++)
+                for (uint64_t b = not_vanished[w]; b; b &= b - 1)
+                    lane_map[kept++] = lane_map[(w << 6) + __builtin_ctzll(b)];
+            compact_rows(values, width, q_start, q_start + n_ff,
+                         not_vanished, n_act);
+            compact_rows(not_failed, n_act, 0, 1, not_vanished, n_act);
+            long old_n_act = n_act;
+            packed = live;
+            n_act = (packed + 63) >> 6;
+            for (long w = 0; w < old_n_act; w++) {
+                not_vanished[w] = lanes_below(packed - (w << 6));
+                if (w >= n_act) not_failed[w] = 0;
+            }
+            ++*repacks;
+        }
+    }
+    free(scratch);
+    return executed;
+}
 """
 
 #: the C pool's width cap (REPRO_MAX_THREADS above)
@@ -381,7 +525,7 @@ _KERNEL = None
 class NativeKernel:
     """ctypes bindings plus the configured thread-pool width."""
 
-    __slots__ = ("grade_cycle", "compact_rows", "threads", "_set_threads")
+    __slots__ = ("grade_cycle", "grade_seu", "threads", "_set_threads")
 
     def __init__(self, library: ctypes.CDLL):
         longs = ctypes.c_long
@@ -399,11 +543,17 @@ class NativeKernel:
             longs, pointer, pointer,  # q_start, state_diff, dtmp
         ]
 
-        self.compact_rows = library.repro_compact_rows
-        self.compact_rows.restype = longs
-        self.compact_rows.argtypes = [
-            pointer, longs, longs, longs,  # values, width, row_start, row_stop
-            pointer, longs,  # keep, n_words
+        # ndpointer checks dtype and contiguity: the loop indexes raw rows
+        u64, i64, i32 = (
+            np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+            for dtype in (np.uint64, np.int64, np.int32)
+        )
+        self.grade_seu = library.repro_grade_seu
+        self.grade_seu.restype = longs
+        self.grade_seu.argtypes = [  # as repro_grade_seu's parameters
+            u64, longs, u64, u64, u64, i32, longs, longs, i32, longs,
+            i32, longs, longs, longs, longs, i64, i64, i64,
+            i32, i32, ctypes.POINTER(longs),
         ]
 
         self._set_threads = library.repro_set_threads

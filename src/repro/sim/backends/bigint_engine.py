@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.model import FLIP, FORCE1, RELEASE, SeuFault
+from repro.faults.model import FLIP, FORCE1, RELEASE, SeuFault, fault_columns
 from repro.sim.backends.base import GradingEngine, register_engine
 from repro.sim.compile import (
     OP_AND,
@@ -130,15 +130,17 @@ class BigintEngine(GradingEngine):
         values = [0] * compiled.num_slots
 
         injections: Dict[int, List] = {}
-        for index, fault in enumerate(faults):
-            q_slot = compiled.flops[fault.flop_index].q_index
-            injections.setdefault(fault.cycle, []).append((q_slot, 1 << index))
+        by_cycle: Dict[int, int] = {}
+        cycles, flop_indices = fault_columns(faults)
+        for index, (cycle, flop_index) in enumerate(
+            zip(cycles.tolist(), flop_indices.tolist())
+        ):
+            q_slot = compiled.flops[flop_index].q_index
+            injections.setdefault(cycle, []).append((q_slot, 1 << index))
+            by_cycle[cycle] = by_cycle.get(cycle, 0) | (1 << index)
 
         injected_mask_by_cycle: List[int] = []
         running = 0
-        by_cycle: Dict[int, int] = {}
-        for index, fault in enumerate(faults):
-            by_cycle[fault.cycle] = by_cycle.get(fault.cycle, 0) | (1 << index)
         for cycle in range(testbench.num_cycles):
             running |= by_cycle.get(cycle, 0)
             injected_mask_by_cycle.append(running)

@@ -1,11 +1,11 @@
 """The fused grading engine: the C cycle kernel with lane compaction.
 
-This is the default oracle backend. Every fault model grades through one
-native path — a lazily compiled C kernel
-(:mod:`repro.sim.backends._native`) that runs a whole emulation cycle
-(input drive, the op program, output compare, state latch and compare)
-over cache-sized word-column blocks — and the Python around it only does
-per-cycle bookkeeping on small word vectors:
+This is the default oracle backend. Every fault model grades through a
+lazily compiled C kernel (:mod:`repro.sim.backends._native`) that runs
+an emulation cycle (input drive, the op program, output compare, state
+latch and compare) by streaming each op over the active word columns.
+A plain-SEU grade is one kernel call for all cycles; the golden trace
+and other fault models call it once a cycle, bookkeeping in numpy:
 
 * **Compilation** — the levelized op program is lowered once per netlist
   into a flat ``(code, a, b, c, out)`` table: buffers alias away, gates
@@ -17,15 +17,15 @@ per-cycle bookkeeping on small word vectors:
   fault-free machine through the same kernel (one word column, every
   row 0 or ~0). Each grade expands the golden words into uint64 mask
   rows with one ``np.unpackbits``, so per-cycle compares are one XOR
-  and an OR-reduction, unpacking only the (usually sparse) newly
-  resolved words — not every fault lane every cycle.
+  and an OR-reduction over the active words.
 * **Dead lanes and dead cycles** (plain SEU lists) — fault lanes are
-  (stably) sorted by injection cycle, packed as they are injected and
-  squeezed together by the kernel's PEXT compactor once enough of them
-  have re-converged, so the kernel only streams live lanes. When every
-  injected fault has vanished and no injections remain, the cycle loop
-  exits early — resolved campaigns do not pay for the tail of the
-  testbench.
+  (stably) sorted by injection cycle; inside one ``repro_grade_seu``
+  call they are packed as they are injected, their fail and vanish
+  cycles are read off the per-word diffs bit by bit, and the kernel's
+  PEXT compactor squeezes them together once enough have re-converged,
+  so it only streams live lanes. When every injected fault has vanished
+  and no injections remain, the cycle loop exits early — resolved
+  campaigns do not pay for the tail of the testbench.
 * **Other fault models** — :class:`~repro.sim.inject.WordInjector`
   applies the columnar schedule's flips and force bit-planes to the q
   rows; the kernel then simulates each cycle at full lane width.
@@ -39,6 +39,7 @@ every engine and the serial replay are cross-checked in the test suite.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -295,6 +296,9 @@ def _masks_for(
     program: FusedProgram, testbench: Testbench, golden: GoldenTrace
 ) -> tuple:
     """The (input, output, state) mask rows of one grade (~0.1 ms at b14)."""
+    cycles = testbench.num_cycles  # the kernel reads rows by raw address
+    if len(golden.outputs) < cycles or len(golden.states) <= cycles:
+        raise SimulationError("golden trace is shorter than the testbench")
     return (
         _mask_rows(testbench.vectors, program.num_inputs),
         _mask_rows(golden.outputs, len(program.output_slots)),
@@ -302,21 +306,12 @@ def _masks_for(
     )
 
 
-class _LaneOrder:
-    """Fault lanes stably sorted by injection cycle.
-
-    Sorting makes the injected lane set a prefix at every cycle, so
-    injections index the per-cycle slice ``[starts[t], ends[t])``.
-    """
-
-    def __init__(self, program: FusedProgram, faults, num_cycles: int):
-        cycles, flop_indices = fault_columns(faults)
-        self.order = np.argsort(cycles, kind="stable")
-        sorted_cycles = cycles[self.order]
-        self.lane_q = program.q_slots[flop_indices[self.order]]
-        span = np.arange(num_cycles)
-        self.starts = np.searchsorted(sorted_cycles, span, side="left")
-        self.ends = np.searchsorted(sorted_cycles, span, side="right")
+def _value_rows(program: FusedProgram, num_words: int) -> np.ndarray:
+    """One grade's private slot rows, const1 rows held at ~0."""
+    values = np.zeros((program.num_slots, num_words), dtype=np.uint64)
+    if len(program.ones_rows):
+        values[program.ones_rows, :] = _ONES
+    return values
 
 
 def _bind_kernel(kernel, program: FusedProgram, num_words: int, masks: tuple):
@@ -329,10 +324,7 @@ def _bind_kernel(kernel, program: FusedProgram, num_words: int, masks: tuple):
     ``state_diff``. Nothing here is cached, so concurrent grades on one
     program share only its read-only tables.
     """
-    in_masks, out_masks, state_masks = masks
-    values = np.zeros((program.num_slots, num_words), dtype=np.uint64)
-    if len(program.ones_rows):
-        values[program.ones_rows, :] = _ONES
+    values = _value_rows(program, num_words)
     ops = np.ascontiguousarray(program.native_ops)
     out_slots = program.output_slots.astype(np.int32)
     d_slots = program.d_slots.astype(np.int32)
@@ -343,8 +335,6 @@ def _bind_kernel(kernel, program: FusedProgram, num_words: int, masks: tuple):
     # width up to the pool cap fits even if another thread resizes the
     # pool mid-grade (the kernel reads the width on every call).
     d_scratch = np.empty(num_flops * (num_words + MAX_THREADS), dtype=np.uint64)
-    if len(out_masks) < len(in_masks) or len(state_masks) <= len(in_masks):
-        raise SimulationError("golden trace is shorter than the testbench")
     grade_cycle = kernel.grade_cycle
     # Addresses are resolved once: ``.ctypes.data`` costs microseconds and
     # ``run`` is called every cycle (a golden pass is all such one-word
@@ -475,150 +465,36 @@ class FusedEngine(GradingEngine):
     ) -> tuple:
         """Simulate only live lanes, repacking them as they resolve.
 
+        One native call (``repro_grade_seu``) runs the whole cycle loop.
         Lanes occupy *packed positions*: injections append at the packed
-        end (so before any repack, position == sorted lane index), and
-        once enough lanes have re-converged the kept bits of every flop
-        row are squeezed to the front by the native PEXT compactor. The
-        ``lane_map`` indirection (packed position -> sorted lane index)
-        keeps fail/vanish writes exact across repacks. On convergence-
+        end, and once enough lanes have re-converged the kept bits of
+        every flop row are squeezed to the front by the PEXT compactor;
+        a packed position -> fault index map follows. On convergence-
         heavy campaigns this cuts the streamed word columns by ~2x over
         a contiguous word window, because a word column stays active
         while *any* of its 64 lanes is unresolved.
         """
         num_faults = len(faults)
-        num_words = (num_faults + 63) // 64
-        lanes = _LaneOrder(program, faults, num_cycles)
-        state_masks = masks[2]
-        q_start = program.q_start
-        q_stop = program.q_stop
-        values, run_cycle, out_diff, state_diff = _bind_kernel(
-            kernel, program, num_words, masks
+        cycles, flop_indices = fault_columns(faults)
+        order = np.argsort(cycles, kind="stable")
+        # the sorted lanes [bounds[t], bounds[t + 1]) inject at cycle t
+        bounds = np.searchsorted(cycles[order], np.arange(num_cycles + 1))
+        values = _value_rows(program, (num_faults + 63) // 64)
+        fail_cycle = np.full(num_faults, -1, dtype=np.int32)
+        vanish_cycle = np.full(num_faults, -1, dtype=np.int32)
+        repacks = ctypes.c_long()
+        executed = kernel.grade_seu(
+            values, values.shape[1], *masks,
+            program.native_ops, len(program.native_ops), program.num_inputs,
+            program.output_slots.astype(np.int32), len(program.output_slots),
+            program.d_slots.astype(np.int32), len(program.d_slots),
+            program.q_start, num_cycles, num_faults,
+            bounds, program.q_slots[flop_indices[order]], order,
+            fail_cycle, vanish_cycle, ctypes.byref(repacks),
         )
-        fail_sorted = np.full(num_faults, -1, dtype=np.int32)
-        vanish_sorted = np.full(num_faults, -1, dtype=np.int32)
-
-        # per packed position: does the lane still await fail / vanish?
-        not_failed = np.zeros(num_words, dtype=np.uint64)
-        not_vanished = np.zeros(num_words, dtype=np.uint64)
-        lane_map = np.empty(num_words * 64, dtype=np.int64)
-
-        compact_rows = kernel.compact_rows
-        starts = lanes.starts
-        ends = lanes.ends
-        lane_q = lanes.lane_q
-        one = np.uint64(1)
-
-        packed = 0  # packed positions in use (live + not-yet-compacted)
-        live = 0  # unresolved lanes among them
-        n_act = 0  # active word columns: ceil(packed / 64)
-        repacks = 0
-        executed = 0
-
-        for cycle in range(num_cycles):
-            # plain ints: numpy scalars would poison the shift arithmetic
-            first, last = int(starts[cycle]), int(ends[cycle])
-            count = last - first
-            if count:
-                # Seed the new positions with this cycle's golden state
-                # (mask-merged: boundary words may hold live lanes),
-                # then flip each injected flop bit.
-                new_packed = packed + count
-                lo_word = packed >> 6
-                n_act = (new_packed + 63) >> 6
-                golden_col = state_masks[cycle]
-                for word in range(lo_word, n_act):
-                    lo_bit = max(packed - (word << 6), 0)
-                    hi_bit = min(new_packed - (word << 6), 64)
-                    new_bits = np.uint64(
-                        ((1 << hi_bit) - (1 << lo_bit))
-                        & 0xFFFFFFFFFFFFFFFF
-                    )
-                    column = values[q_start:q_stop, word]
-                    values[q_start:q_stop, word] = (column & ~new_bits) | (
-                        golden_col & new_bits
-                    )
-                    not_failed[word] |= new_bits
-                    not_vanished[word] |= new_bits
-                positions = np.arange(packed, new_packed, dtype=np.int64)
-                np.bitwise_xor.at(
-                    values,
-                    (lane_q[first:last], positions >> 6),
-                    np.left_shift(one, (positions & 63).astype(np.uint64)),
-                )
-                lane_map[packed:new_packed] = np.arange(first, last, dtype=np.int64)
-                packed = new_packed
-                live += count
-
-            if live == 0:
-                if last == num_faults:
-                    executed = cycle
-                    break
-                continue
-            executed = cycle + 1
-
-            run_cycle(cycle, n_act)
-
-            window_nf = not_failed[:n_act]
-            newly_failed = out_diff[:n_act] & window_nf
-            if newly_failed.any():
-                fail_sorted[lane_map[_lanes_of(newly_failed)]] = cycle
-                window_nf &= ~newly_failed
-
-            window_nv = not_vanished[:n_act]
-            newly_vanished = ~state_diff[:n_act] & window_nv
-            if newly_vanished.any():
-                hits = _lanes_of(newly_vanished)
-                vanish_sorted[lane_map[hits]] = cycle
-                window_nv &= ~newly_vanished
-                # A vanished lane tracks golden forever, so it can never
-                # fail later — clearing it here keeps its (now possibly
-                # stale) bits inert through skipped cycles and repacks.
-                window_nf &= ~newly_vanished
-                live -= len(hits)
-
-            if live == 0 and last == num_faults:
-                break
-
-            # Repack once 1/16 of the packed lanes (and at least a
-            # word's worth) have resolved: squeeze the kept bits of the
-            # flop rows and the fail bookkeeping to the front, remap.
-            dead = packed - live
-            if dead >= 64 and dead * 16 >= packed:
-                kept = _lanes_of(window_nv)
-                compact_rows(
-                    values.ctypes.data,
-                    num_words,
-                    q_start,
-                    q_stop,
-                    not_vanished.ctypes.data,
-                    n_act,
-                )
-                compact_rows(
-                    not_failed.ctypes.data,
-                    n_act,
-                    0,
-                    1,
-                    not_vanished.ctypes.data,
-                    n_act,
-                )
-                lane_map[: len(kept)] = lane_map[kept]
-                packed = live
-                old_n_act = n_act
-                n_act = (packed + 63) >> 6
-                not_failed[n_act:old_n_act] = 0
-                not_vanished[:n_act] = _ONES
-                if packed & 63:
-                    not_vanished[n_act - 1] = np.uint64(
-                        (1 << (packed & 63)) - 1
-                    )
-                not_vanished[n_act:old_n_act] = 0
-                repacks += 1
-
-        fail_cycle = np.empty(num_faults, dtype=np.int32)
-        vanish_cycle = np.empty(num_faults, dtype=np.int32)
-        fail_cycle[lanes.order] = fail_sorted
-        vanish_cycle[lanes.order] = vanish_sorted
-        stats = {"cycles_executed": executed, "repacks": repacks}
+        if executed < 0:
+            raise MemoryError("the SEU kernel could not allocate its scratch")
+        stats = {"cycles_executed": executed, "repacks": repacks.value}
         return fail_cycle, vanish_cycle, stats
 
     # ------------------------------------------------------------------

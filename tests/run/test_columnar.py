@@ -95,3 +95,19 @@ def test_outcome_digest_is_independent_of_array_byte_order():
 
     assert graded(">i4").outcome_digest() == graded("<i4").outcome_digest()
     assert graded(">i8").outcome_digest() == graded("=i4").outcome_digest()
+
+
+def test_bigint_seu_grade_of_a_fault_array_builds_no_fault_objects(built):
+    """The reference engine reads a FaultArray's columns, not its items."""
+    from repro.circuits.itc99.b04 import build_b04
+    from repro.faults.model import exhaustive_fault_list
+    from repro.faults.sampling import sample_fault_list
+    from repro.sim.parallel import grade_faults
+    from repro.sim.vectors import random_testbench
+
+    netlist = build_b04()
+    bench = random_testbench(netlist, 32, seed=4)
+    faults = sample_fault_list(exhaustive_fault_list(netlist, 32), 500, seed=4)
+    built["faults"] = 0
+    grade_faults(netlist, bench, faults, backend="bigint")
+    assert built["faults"] == 0

@@ -10,10 +10,15 @@ them on random netlists whose populations genuinely exceed one word.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.faults.model import exhaustive_fault_list
+from repro.faults.sampling import sample_fault_list
+from repro.netlist.builder import NetlistBuilder
+from repro.run.spec import CampaignSpec
+from repro.run.worker import window_slice
 from repro.sim.backends import get_engine
 from repro.sim.backends._native import (
     configure_threads,
@@ -104,10 +109,83 @@ def test_compaction_reported_and_exact_on_b14_sample():
     fused = grade_faults(netlist, bench, faults, backend="fused")
     stats = get_engine("fused").last_stats
     assert stats.get("native")
-    assert "repacks" in stats
-    reference = grade_faults(netlist, bench, faults, backend="numpy")
-    assert list(fused.fail_cycles) == list(reference.fail_cycles)
-    assert list(fused.vanish_cycles) == list(reference.vanish_cycles)
+    assert stats["repacks"] > 0
+    for reference_backend in ("numpy", "bigint"):
+        reference = grade_faults(
+            netlist, bench, faults, backend=reference_backend
+        )
+        assert list(fused.fail_cycles) == list(reference.fail_cycles)
+        assert list(fused.vanish_cycles) == list(reference.vanish_cycles)
+
+
+def _fused_matches_bigint(netlist, bench, faults) -> dict:
+    """Grade ``faults`` with both engines; returns the fused stats."""
+    fused = grade_faults(netlist, bench, faults, backend="fused")
+    stats = dict(get_engine("fused").last_stats)
+    assert stats.get("native")
+    reference = grade_faults(netlist, bench, faults, backend="bigint")
+    assert fused.outcome_digest() == reference.outcome_digest()
+    return stats
+
+
+def test_every_fault_injected_on_the_last_cycle():
+    netlist, bench, faults = _wide_scenario(8)
+    last = faults.take(np.flatnonzero(faults.cycles == bench.num_cycles - 1))
+    assert len(last) > 64
+    stats = _fused_matches_bigint(netlist, bench, last)
+    assert stats["cycles_executed"] == bench.num_cycles
+
+
+@pytest.mark.parametrize("count", [64, 65, 640, 641])
+def test_populations_at_and_past_a_word_boundary(count):
+    netlist, bench, faults = _wide_scenario(9)
+    _fused_matches_bigint(
+        netlist, bench, sample_fault_list(faults, count, seed=count)
+    )
+
+
+def _pipelines(lanes: int = 12, depth: int = 8):
+    """Shift registers loaded from the inputs every cycle: each flip is
+    shifted out within ``depth`` cycles, and an AND with an input masks
+    some of them at the outputs."""
+    builder = NetlistBuilder("pipelines")
+    data = builder.inputs("in", 4)
+    for lane in range(lanes):
+        q = builder.xor_(data[lane % 4], data[(lane + 1) % 4])
+        for stage in range(depth):
+            q = builder.dff(q, q=f"p{lane}_{stage}")
+        builder.output_net(f"out{lane}", builder.and_(q, data[lane % 4]))
+    return builder.build()
+
+
+def test_converged_population_exits_before_the_bench_ends():
+    netlist = _pipelines()
+    bench = random_testbench(netlist, 40, seed=40)
+    faults = exhaustive_fault_list(netlist, bench.num_cycles)
+    early = faults.take(np.flatnonzero(faults.cycles < 20))
+    stats = _fused_matches_bigint(netlist, bench, early)
+    assert stats["repacks"] > 0
+    assert stats["cycles_executed"] < bench.num_cycles
+
+
+def test_b14_shard_window_digest_is_the_same_at_every_pool_width(
+    restore_threads,
+):
+    scenario = CampaignSpec("b14", "time_multiplexed").scenario()
+    lo, hi = window_slice(scenario.faults, 0, 40)
+    window = scenario.faults[lo:hi]
+    digests = set()
+    for threads in (1, 2, 3):
+        configure_threads(threads)
+        result = grade_faults(
+            scenario.netlist, scenario.testbench, window, backend="fused"
+        )
+        assert get_engine("fused").last_stats["threads"] == threads
+        digests.add(result.outcome_digest())
+    reference = grade_faults(
+        scenario.netlist, scenario.testbench, window, backend="bigint"
+    )
+    assert digests == {reference.outcome_digest()}
 
 
 def test_short_golden_is_rejected_before_the_kernel_runs():
