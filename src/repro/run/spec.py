@@ -21,6 +21,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.circuits.registry import build_circuit, circuit_source_path
@@ -59,6 +60,10 @@ TESTBENCH_KINDS = (
 #: otherwise.
 PAPER_CYCLES = {"b14": 160}
 DEFAULT_CYCLES = 64
+
+#: bound on the per-process netlist and scenario memos; rebuilding an
+#: evicted entry is deterministic, so eviction only costs time
+MAX_CACHED_SCENARIOS = 8
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,29 @@ def default_testbench_for(
 
         return synthesize_testbench(netlist, cycles, seed=seed)
     return random_testbench(netlist, cycles, seed=seed)
+
+
+@lru_cache(maxsize=MAX_CACHED_SCENARIOS)
+def netlist_for(
+    circuit: str,
+    hardening: Optional[str],
+    hardening_flops: Optional[Sequence[str]],
+    circuit_digest: Optional[str],
+) -> Netlist:
+    """Build a (hardened) circuit once per process and identity.
+
+    A netlist does not depend on seed, stimulus or sample, so campaigns
+    share it (and its digest, compiled plan and fused program); callers
+    must not edit it. ``circuit_digest`` is part of the key only: it
+    hashes the file behind a ``file:``/``corpus:`` circuit, so an edited
+    file rebuilds.
+    """
+    netlist = build_circuit(circuit)
+    if hardening is not None:
+        from repro.hardening import apply_hardening
+
+        netlist = apply_hardening(hardening, netlist, flops=hardening_flops)
+    return netlist
 
 
 @dataclass(frozen=True)
@@ -261,14 +289,11 @@ class CampaignSpec:
         return f"hardened:{segment}:{self.circuit}"
 
     def build_netlist(self) -> Netlist:
-        netlist = build_circuit(self.circuit)
-        if self.hardening is not None:
-            from repro.hardening import apply_hardening
-
-            netlist = apply_hardening(
-                self.hardening, netlist, flops=self.hardening_flops
-            )
-        return netlist
+        """The circuit, shared by every campaign on it through the
+        per-process memo :func:`netlist_for` — frozen by contract."""
+        return netlist_for(
+            self.circuit, self.hardening, self.hardening_flops, self.circuit_digest()
+        )
 
     def build_testbench(self, netlist: Netlist) -> Testbench:
         kind = self.resolved_testbench_kind()
@@ -513,23 +538,20 @@ class CampaignSpec:
 
 
 def scenario_from_wire(
-    netlist_text: str, testbench: Testbench, fields: Dict
+    netlist: Netlist, testbench: Testbench, fields: Dict
 ) -> Scenario:
     """Rebuild a campaign scenario from shipped wire artifacts.
 
-    The remote half of :meth:`CampaignSpec.wire_fields`: ``netlist_text``
-    is the canonical netlist dump, ``testbench`` the reconstructed
-    stimulus, ``fields`` the scalar fault-population description. The
-    fault list is rebuilt exactly as :meth:`CampaignSpec.build_faults`
-    builds it — fault-model population over the netlist, then the
-    deterministic sample draw — so a worker that never saw the registry
-    grades the *identical* fault list in the identical order, which is
-    what makes remote shard records mergeable (and re-runnable) bit-
-    exactly.
+    The remote half of :meth:`CampaignSpec.wire_fields`: ``netlist`` is
+    parsed from the shipped canonical dump, ``testbench`` the
+    reconstructed stimulus, ``fields`` the scalar fault-population
+    description. The fault list is rebuilt exactly as
+    :meth:`CampaignSpec.build_faults` builds it — fault-model population
+    over the netlist, then the deterministic sample draw — so a worker
+    that never saw the registry grades the *identical* fault list in the
+    identical order, which is what makes remote shard records mergeable
+    (and re-runnable) bit-exactly.
     """
-    from repro.netlist.textio import loads_netlist
-
-    netlist = loads_netlist(netlist_text)
     num_cycles = int(fields["num_cycles"])
     if testbench.num_cycles != num_cycles:
         raise CampaignError(

@@ -12,8 +12,10 @@ verified against its announced digest (self-certifying: the digest *is*
 the content hash), persisted to the worker's
 :class:`~repro.sim.cache.DiskArtifactCache` wire store, and reused for
 every later campaign that names the same digest — including after a
-daemon restart. Compiled plans and golden traces then flow through the
-ordinary two-layer artifact cache exactly as they do locally.
+daemon restart. A netlist is parsed once per digest and shared by every
+campaign on that circuit (a new seed only brings a new stimulus).
+Compiled plans and golden traces then flow through the ordinary
+two-layer artifact cache exactly as they do locally.
 
 While a slow scenario build or shard grade is in flight the daemon
 emits ``heartbeat`` frames every second, so the client can tell
@@ -32,10 +34,12 @@ import time
 from typing import Dict, Optional, Tuple
 
 from repro.errors import CampaignError, ReproError
+from repro.netlist.netlist import Netlist
+from repro.netlist.textio import loads_netlist
 from repro.run import worker
 from repro.run.spec import Scenario, scenario_from_wire
 from repro.run.transport import wire
-from repro.sim.cache import disk_cache, netlist_text_digest
+from repro.sim.cache import disk_cache, evict_oldest, netlist_text_digest
 
 #: heartbeat cadence while a build/grade is in flight (seconds)
 HEARTBEAT_INTERVAL = 1.0
@@ -100,6 +104,8 @@ class WorkerDaemon:
         self._state_lock = threading.Lock()
         #: campaign id -> resolved scenario
         self._scenarios: Dict[str, Scenario] = {}
+        #: netlist digest -> parsed netlist, shared (frozen) by campaigns
+        self._netlists: Dict[str, Netlist] = {}
         self.stats: Dict[str, int] = {
             "connections": 0,
             "campaigns_prepared": 0,
@@ -193,7 +199,8 @@ class WorkerDaemon:
         self, header: Dict, netlist_blob: bytes, stimulus_blob: bytes
     ) -> Scenario:
         netlist_text = netlist_blob.decode("utf-8")
-        if netlist_text_digest(netlist_text) != header["netlist_digest"]:
+        digest = netlist_text_digest(netlist_text)
+        if digest != header["netlist_digest"]:
             raise CampaignError(
                 "netlist payload does not match its announced digest"
             )
@@ -202,7 +209,14 @@ class WorkerDaemon:
             raise CampaignError(
                 "stimulus payload does not match its announced digest"
             )
-        return scenario_from_wire(netlist_text, testbench, header)
+        with self._state_lock:
+            netlist = self._netlists.get(digest)
+        if netlist is None:
+            netlist = loads_netlist(netlist_text)
+            with self._state_lock:
+                evict_oldest(self._netlists, MAX_CACHED_SCENARIOS)
+                self._netlists[digest] = netlist
+        return scenario_from_wire(netlist, testbench, header)
 
     def _prepare(self, conn: "_Connection", header: Dict) -> None:
         if header.get("protocol") != wire.PROTOCOL_VERSION:
@@ -257,8 +271,7 @@ class WorkerDaemon:
             # trace, fused program, native kernel — all heartbeat-covered.
             worker.prewarm_scenario(scenario)
         with self._state_lock:
-            while len(self._scenarios) >= MAX_CACHED_SCENARIOS:
-                del self._scenarios[next(iter(self._scenarios))]
+            evict_oldest(self._scenarios, MAX_CACHED_SCENARIOS)
             self._scenarios[campaign_id] = scenario
             self.stats["campaigns_prepared"] += 1
         conn.active_campaign = campaign_id

@@ -41,7 +41,7 @@ from repro.run import worker
 from repro.run.store import ShardRecord
 from repro.run.transport import wire
 from repro.run.transport.base import ShardTransport
-from repro.sim.cache import netlist_digest
+from repro.sim.cache import evict_oldest, netlist_digest
 from repro.netlist.textio import dumps_netlist
 
 #: how often a healthy worker proves liveness mid-shard
@@ -211,8 +211,7 @@ class TcpTransport(ShardTransport):
             payload = _CampaignPayload(spec)
             # Bounded like the worker-side scenario memo: payloads pin
             # netlist text + stimulus, so sweeps evict oldest-first.
-            while len(self._payloads) >= worker.MAX_CACHED_SCENARIOS:
-                del self._payloads[next(iter(self._payloads))]
+            evict_oldest(self._payloads, worker.MAX_CACHED_SCENARIOS)
             self._payloads[spec.campaign_id] = payload
         return payload
 

@@ -14,6 +14,7 @@ single worker, so serial and pooled execution share one code path.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from typing import Dict, Optional, Sequence, Tuple
@@ -22,28 +23,27 @@ import numpy as np
 
 from repro.errors import CampaignError
 from repro.faults.model import CYCLE_DTYPE, SeuFault, fault_columns
-from repro.run.spec import CampaignSpec, Scenario
+from repro.run.spec import MAX_CACHED_SCENARIOS, CampaignSpec, Scenario, netlist_for
 from repro.run.store import ShardRecord
+from repro.sim.cache import evict_oldest
 
 #: per-process scenario memo: campaign id -> resolved scenario
 _SCENARIOS: Dict[str, Scenario] = {}
-#: memo bound: a scenario pins its netlist, testbench and fault columns,
-#: so long-lived processes sweeping many scenarios evict oldest-first
-#: rather than growing without bound. Rebuilding an evicted scenario is
-#: deterministic, so eviction only costs time.
-MAX_CACHED_SCENARIOS = 8
 
 
-def worker_init(path_entry: Optional[str]) -> None:
-    """Pool initializer: make the repro package importable in children.
-
-    With the default ``fork`` start method this is a no-op; under
-    ``spawn`` the parent's ``sys.path`` manipulations (e.g. a
-    ``PYTHONPATH=src`` checkout) are not inherited, so the parent passes
-    its own package location along.
+def worker_init(path_entry: Optional[str], workers: int) -> None:
+    """Pool initializer: make the repro package importable in children
+    (``spawn`` does not inherit the parent's ``sys.path``) and give each
+    child its share of the kernel's default thread width, so ``workers``
+    children do not oversubscribe the CPUs one process's pool was sized
+    for. A width pinned by ``REPRO_FUSED_THREADS`` is left alone.
     """
     if path_entry and path_entry not in sys.path:
         sys.path.insert(0, path_entry)
+    if not os.environ.get("REPRO_FUSED_THREADS"):
+        from repro.sim.backends._native import configure_threads, default_threads
+
+        configure_threads(max(1, default_threads() // workers))
 
 
 def scenario_for(spec: CampaignSpec) -> Scenario:
@@ -51,8 +51,7 @@ def scenario_for(spec: CampaignSpec) -> Scenario:
     key = spec.campaign_id
     scenario = _SCENARIOS.get(key)
     if scenario is None:
-        while len(_SCENARIOS) >= MAX_CACHED_SCENARIOS:
-            del _SCENARIOS[next(iter(_SCENARIOS))]
+        evict_oldest(_SCENARIOS, MAX_CACHED_SCENARIOS)
         scenario = spec.scenario()
         _SCENARIOS[key] = scenario
     return scenario
@@ -92,8 +91,9 @@ def prewarm_scenario(scenario: Scenario) -> None:
 
 
 def clear_scenarios() -> None:
-    """Drop the per-process scenario memo (tests use this)."""
+    """Drop the per-process scenario and netlist memos (tests use this)."""
     _SCENARIOS.clear()
+    netlist_for.cache_clear()
 
 
 def window_slice(

@@ -18,7 +18,11 @@ Two layers share one key space:
   evict oldest-first past a bound, so long sweeps over many circuits
   don't pin every artifact forever. Treat netlists as frozen once
   simulation starts (the rest of the library already does): mutating one
-  after its digest is memoized serves stale entries.
+  after its digest is memoized serves stale entries. Campaign netlists
+  are shared outright — :func:`repro.run.spec.netlist_for` builds each
+  circuit once per process and hands the same object to every campaign
+  on it, and the TCP worker daemon reuses one parsed netlist per digest
+  — so every transform builds a new netlist instead of editing one.
 * **Disk cache** — :class:`DiskArtifactCache` persists compiled plans
   and golden traces under a content-keyed directory tree (netlist digest
   x stimulus digest), so pool workers and repeated runs skip the warmup
@@ -91,7 +95,8 @@ def netlist_digest(netlist: Netlist) -> str:
         return digest
 
 
-def _evict_oldest(cache: Dict, bound: int) -> None:
+def evict_oldest(cache: Dict, bound: int) -> None:
+    """Make room in an insertion-ordered memo for one more entry."""
     while len(cache) >= bound:
         del cache[next(iter(cache))]
 
@@ -356,7 +361,7 @@ def compiled_for(netlist_or_compiled) -> CompiledNetlist:
         compiled = compile_netlist(netlist)
         if disk is not None:
             disk.store_compiled(digest, compiled)
-    _evict_oldest(_COMPILED, _MAX_COMPILED)
+    evict_oldest(_COMPILED, _MAX_COMPILED)
     _COMPILED[digest] = compiled
     return compiled
 
@@ -388,7 +393,7 @@ def golden_for(compiled: CompiledNetlist, testbench: Testbench) -> GoldenTrace:
             golden = run_golden(compiled, testbench)
         if disk is not None:
             disk.store_golden(key[0], key[1], golden)
-    _evict_oldest(_GOLDEN, _MAX_GOLDEN)
+    evict_oldest(_GOLDEN, _MAX_GOLDEN)
     _GOLDEN[key] = golden
     return golden
 

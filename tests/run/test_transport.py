@@ -23,7 +23,7 @@ from repro.run.transport import (
 from repro.run.transport import wire
 from repro.run.transport.base import ShardTransport
 from repro.run.transport.local import LocalPoolTransport, SerialTransport
-from repro.netlist.textio import dumps_netlist
+from repro.netlist.textio import dumps_netlist, loads_netlist
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +175,7 @@ class TestScenarioFromWire:
         """The remote rebuild grades the same faults in the same order."""
         local = spec.scenario()
         rebuilt = scenario_from_wire(
-            dumps_netlist(local.netlist),
+            loads_netlist(dumps_netlist(local.netlist)),
             wire.unpack_testbench(wire.pack_testbench(local.testbench)),
             spec.wire_fields(),
         )
@@ -192,7 +192,9 @@ class TestScenarioFromWire:
         fields["num_cycles"] = local.testbench.num_cycles + 1
         with pytest.raises(CampaignError):
             scenario_from_wire(
-                dumps_netlist(local.netlist), local.testbench, fields
+                loads_netlist(dumps_netlist(local.netlist)),
+                local.testbench,
+                fields,
             )
 
 
@@ -281,6 +283,42 @@ class TestLocalPoolTransport:
             )
         assert sorted(record.index for record in records) == list(range(5))
         assert all(record.worker == "pool:2" for record in records)
+
+    def test_children_split_the_kernel_threads(self, monkeypatch):
+        """Each pool child runs the native kernel at its share of the
+        default width, so two workers do not oversubscribe the CPUs one
+        process's pool was sized for; outcomes do not change."""
+        from repro.sim.backends._native import default_threads, native_kernel
+
+        if native_kernel() is None:
+            pytest.skip("native kernel unavailable")
+        monkeypatch.delenv("REPRO_FUSED_THREADS", raising=False)
+        spec = CampaignSpec(circuit="b04", technique="mask_scan")
+        serial = CampaignRunner(workers=1).grade(spec)
+        with CampaignRunner(workers=2, shards=4) as runner:
+            pooled = runner.grade(spec)
+            pool = runner._ensure_transport()._pool
+            widths = {pool.submit(_kernel_width).result() for _ in range(4)}
+        assert widths == {max(1, default_threads() // 2)}
+        assert pooled.outcome_digest() == serial.outcome_digest()
+
+    def test_pinned_width_is_left_alone(self, monkeypatch):
+        from repro.sim.backends._native import native_kernel
+
+        if native_kernel() is None:
+            pytest.skip("native kernel unavailable")
+        monkeypatch.setenv("REPRO_FUSED_THREADS", "3")
+        with LocalPoolTransport(workers=2) as transport:
+            pool = transport._ensure_pool()
+            widths = {pool.submit(_kernel_width).result() for _ in range(4)}
+        assert widths == {native_kernel().threads}
+
+
+def _kernel_width() -> int:
+    """The native kernel's pool width in the calling process."""
+    from repro.sim.backends._native import native_kernel
+
+    return native_kernel().threads
 
 
 # ----------------------------------------------------------------------

@@ -172,6 +172,35 @@ class TestDigestNegotiation:
         finally:
             fresh.shutdown()
 
+    def test_new_seed_reuses_the_parsed_netlist(self, daemon, monkeypatch):
+        """Campaigns on one circuit differ in stimulus and faults, never
+        in netlist: the daemon parses the shipped netlist once per
+        digest and grades every seed bit-exact with the local path."""
+        from repro.run.transport import daemon as daemon_module
+
+        parses = []
+        parse = daemon_module.loads_netlist
+
+        def counting_parse(text):
+            parses.append(len(text))
+            return parse(text)
+
+        monkeypatch.setattr(daemon_module, "loads_netlist", counting_parse)
+        server, address = daemon
+        specs = [
+            CampaignSpec("b14", "time_multiplexed", seed=seed, sample=2000)
+            for seed in (1, 2)
+        ]
+        with CampaignRunner(hosts=address) as runner:
+            remote = [runner.grade(spec).outcome_digest() for spec in specs]
+        local = [
+            CampaignRunner(workers=1).grade(spec).outcome_digest()
+            for spec in specs
+        ]
+        assert remote == local
+        assert server.stats["campaigns_prepared"] == 2
+        assert len(parses) == 1
+
     def test_records_carry_worker_provenance(self, daemon, tmp_path):
         _, address = daemon
         store_root = tmp_path / "runs"
