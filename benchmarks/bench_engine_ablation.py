@@ -16,13 +16,13 @@ from repro.sim.parallel import grade_faults
 from repro.synth.lutmap import map_to_luts
 
 
-def test_bench_oracle_numpy(benchmark, b14, b14_bench, b14_faults):
-    """34,400 faults, numpy backend — the production path."""
+def test_bench_engine_numpy(benchmark, b14, b14_bench, b14_faults):
+    """34,400 faults, numpy engine — the fused engine's no-kernel fallback."""
     result = once(benchmark, grade_faults, b14, b14_bench, b14_faults, "numpy")
     assert result.num_faults == len(b14_faults)
 
 
-def test_bench_oracle_bigint_sample(benchmark, b14, b14_bench, b14_faults):
+def test_bench_engine_bigint_sample(benchmark, b14, b14_bench, b14_faults):
     """Bigint backend over a 2,048-fault sample (dependency-free path)."""
     sample = sample_fault_list(b14_faults, 2048, seed=3)
     result = once(benchmark, grade_faults, b14, b14_bench, sample, "bigint")

@@ -23,8 +23,8 @@ The subcommands replace the plumbing the example scripts used to carry:
   interval-coverage checks (``eval/sampling_error.py``).
 * ``circuits`` — every registered + corpus circuit with its size
   statistics (``--json`` for machines).
-* ``bench``  — wall-clock of the sharded runner at several worker
-  counts; the orchestration-overhead row of the perf trajectory.
+* ``bench``  — every engine and the sharded runner timed on one campaign;
+  ``--json`` appends to ``BENCH_oracle.json``, ``--check`` gates against it.
 * ``worker`` — a shard-grading daemon (``--listen HOST:PORT``) that
   ``run``/``sweep`` on another host dispatch to via ``--hosts``.
 * ``workers ping`` — fleet liveness, cache warmth and kernel flags for
@@ -53,7 +53,7 @@ describe can be launched, resumed and reported from the shell::
     python -m repro sweep --circuits b14 --workers 4
     python -m repro report --circuit b09 --no-crossover
     python -m repro sampling-error --circuits b04 b06
-    python -m repro bench --workers 1 4
+    python -m repro bench --workers 1 2 --check BENCH_oracle.json
     python -m repro worker --listen 0.0.0.0:7400        # on each host
     python -m repro run --circuit b14 --hosts a:7400,b:7400
     python -m repro workers ping --hosts a:7400,b:7400 --json
@@ -708,74 +708,10 @@ def _cmd_circuits(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.run.runner import SHARDS_PER_WORKER
-    from repro.util.tables import Table
+    from repro.run.bench import run_bench
 
-    spec = _spec_from(args)
-    if args.quick and args.cycles is None:
-        spec = CampaignSpec.from_dict({**spec.to_dict(), "num_cycles": 48})
-    # Every worker count grades the same shard plan (the workers=1
-    # default). With the per-worker shard policy, workers=2 would grade
-    # twice as many shards as workers=1 and the table would conflate
-    # per-shard/IPC overhead with process scaling — the very thing it
-    # exists to isolate.
-    shards = args.shards or SHARDS_PER_WORKER
-    rows = []
-    baseline = None
-    for workers in args.workers_list:
-        with CampaignRunner(workers=workers, shards=shards) as runner:
-            # First pass is warmup — it pays pool creation, scenario
-            # builds, compiles and cache population — and is reported
-            # separately, never mixed into the steady-state number.
-            started = time.perf_counter()
-            oracle = runner.grade(spec)
-            warmup = time.perf_counter() - started
-            best = float("inf")
-            for _ in range(max(1, args.repeats)):
-                started = time.perf_counter()
-                oracle = runner.grade(spec)
-                best = min(best, time.perf_counter() - started)
-        if baseline is None:
-            baseline = best
-        rows.append(
-            {
-                "workers": workers,
-                "warmup_seconds": round(warmup, 4),
-                "seconds": round(best, 4),
-                "us_per_fault": round(best * 1e6 / oracle.num_faults, 3),
-                "speedup_vs_serial": round(baseline / best, 2),
-            }
-        )
-    table = Table(
-        ["workers", "warmup (s)", "steady (s)", "us/fault",
-         "speedup vs workers=1"],
-        title=(
-            f"Sharded runner — {spec.effective_circuit}, "
-            f"{spec.resolved_cycles()} cycles, {shards} shards"
-        ),
-    )
-    for row in rows:
-        table.add_row(
-            [
-                row["workers"],
-                f"{row['warmup_seconds']:.3f}",
-                f"{row['seconds']:.3f}",
-                f"{row['us_per_fault']:.3f}",
-                f"{row['speedup_vs_serial']:.2f}x",
-            ]
-        )
-    print(table.render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"spec": spec.to_dict(), "shards": shards, "rows": rows},
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0
+    return run_bench(_spec_from(args), args.workers_list, args.shards,
+                     args.repeats, args.json, args.check)
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -1245,7 +1181,9 @@ def build_parser() -> argparse.ArgumentParser:
     circuits_parser.set_defaults(func=_cmd_circuits)
 
     bench_parser = commands.add_parser(
-        "bench", help="time the sharded runner at several worker counts"
+        "bench",
+        help="time every engine and the sharded runner on one campaign; "
+        "append to or gate against a bench history",
     )
     _add_spec_arguments(bench_parser, single=True)
     bench_parser.add_argument(
@@ -1254,14 +1192,22 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         nargs="+",
         default=[1, default_pool_workers()],
-        help="worker counts to time",
+        metavar="N",
+        help="worker counts for the sharded-runner rows",
     )
-    bench_parser.add_argument("--shards", type=int, default=None)
-    bench_parser.add_argument("--repeats", type=int, default=2)
     bench_parser.add_argument(
-        "--quick", action="store_true", help="shrink the campaign for CI"
+        "--shards", type=int, default=None, help="shards for every row (default: 4)"
     )
-    bench_parser.add_argument("--json", default=None, help="JSON output path")
+    bench_parser.add_argument(
+        "--repeats", type=int, default=3, help="timed passes per row; best counts"
+    )
+    bench_parser.add_argument(
+        "--json", metavar="PATH", help="append the entry to this bench history"
+    )
+    bench_parser.add_argument(
+        "--check", metavar="BASELINE", help="gate against this bench history "
+        "without writing it (bounds in docs/performance.md); exit 1 on failure"
+    )
     bench_parser.set_defaults(func=_cmd_bench)
 
     worker_parser = commands.add_parser(

@@ -1,10 +1,18 @@
 """Tests for the ``python -m repro`` command line."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro.run.bench import expected_fused_us, scaling_gate
 from repro.run.cli import main
+from repro.sim.backends import available_engines
+from repro.sim.backends._native import native_kernel
 
 
 class TestRun:
@@ -250,6 +258,22 @@ class TestReport:
         assert "fastest technique on b03" in out
 
 
+#: a campaign whose serial fused grade takes a few hundred microseconds:
+#: large enough for a steady best-of timing, small enough for Tier-1
+BENCH_SPEC = ["--circuit", "b04", "--cycles", "40"]
+DIGEST = re.compile(r"\b[0-9a-f]{32}\b")
+SRC_ROOT = os.path.dirname(os.path.dirname(repro.__file__))
+#: --check gates the native kernel and refuses to run without it
+needs_kernel = pytest.mark.skipif(
+    native_kernel() is None,
+    reason="native kernel unavailable (no C compiler or REPRO_FUSED_NATIVE=0)",
+)
+
+
+def bench(*extra):
+    return main(["bench", *BENCH_SPEC, "--workers", "1", *extra])
+
+
 class TestBench:
     def test_bench_quick_single_worker(self, tmp_path, capsys):
         json_path = tmp_path / "bench.json"
@@ -264,9 +288,126 @@ class TestBench:
             ]
         )
         assert code == 0
-        assert "Sharded runner" in capsys.readouterr().out
-        payload = json.loads(json_path.read_text())
-        assert payload["rows"][0]["workers"] == 1
+        out = capsys.readouterr().out
+        assert "runner workers=1" in out and "fused" in out
+        (entry,) = json.loads(json_path.read_text())["history"]
+        assert entry["runner_workers"] == [1]
+        assert set(entry["sharded_runner"]) == {"workers=1"}
+        assert entry["circuit"] == "b01" and entry["num_cycles"] == 12
+
+    def test_json_appends_and_keeps_earlier_entries(self, tmp_path, capsys):
+        path = tmp_path / "history.json"
+        assert bench("--repeats", "1", "--json", str(path)) == 0
+        first = json.loads(path.read_text())["history"][0]
+        assert bench("--repeats", "1", "--json", str(path)) == 0
+        history = json.loads(path.read_text())["history"]
+        assert len(history) == 2
+        assert history[0] == first
+        assert set(first) == {
+            "timestamp", "machine", "python", "kernel", "circuit",
+            "num_faults", "num_cycles", "default_backend",
+            "fused_us_per_fault", "backends", "backends_seconds",
+            "sharded_runner", "runner_shards", "runner_workers",
+        }
+        assert set(first["backends"]) == set(available_engines())
+
+    def test_engine_and_runner_rows_share_one_digest(self, capsys):
+        assert main(["bench", *BENCH_SPEC, "--workers", "1", "2",
+                     "--repeats", "1"]) == 0
+        digests = DIGEST.findall(capsys.readouterr().out)
+        # one per engine row, one per runner row, one in the summary line
+        assert len(digests) == len(available_engines()) + 2 + 1
+        assert len(set(digests)) == 1
+
+    @needs_kernel
+    def test_check_passes_against_a_fresh_baseline(self, tmp_path, capsys):
+        path = tmp_path / "baseline.json"
+        assert bench("--repeats", "5", "--json", str(path)) == 0
+        before = path.read_text()
+        # Same-host timings are absolute, so a burst of load from other
+        # processes can slow one run; the gate must pass on one of a few
+        # back-to-back runs, and never writes the baseline.
+        codes = []
+        for _ in range(3):
+            codes.append(bench("--repeats", "5", "--check", str(path)))
+            if codes[-1] == 0:
+                break
+        assert codes[-1] == 0, codes
+        assert "regression gate" in capsys.readouterr().out
+        assert path.read_text() == before
+
+    @needs_kernel
+    def test_check_fails_a_hundredfold_regression(self, tmp_path, capsys):
+        path = tmp_path / "baseline.json"
+        assert bench("--repeats", "1", "--json", str(path)) == 0
+        payload = json.loads(path.read_text())
+        payload["history"][-1]["fused_us_per_fault"] /= 100
+        path.write_text(json.dumps(payload))
+        assert bench("--repeats", "1", "--check", str(path)) == 1
+        captured = capsys.readouterr()
+        assert "best prior entry for this machine" in captured.err
+        assert "FAIL" in captured.err
+
+    def test_check_refuses_another_campaign(self, tmp_path, capsys):
+        path = tmp_path / "baseline.json"
+        assert bench("--repeats", "1", "--json", str(path)) == 0
+        capsys.readouterr()
+        code = main(["bench", "--circuit", "b04", "--cycles", "41",
+                     "--workers", "1", "--repeats", "1", "--check", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'num_cycles': 40" in err and "'num_cycles': 41" in err
+
+    def test_check_refuses_a_run_without_the_kernel(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        assert bench("--repeats", "1", "--json", str(path)) == 0
+        probe = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", *BENCH_SPEC,
+             "--workers", "1", "--repeats", "1", "--check", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC_ROOT,
+                 "REPRO_FUSED_NATIVE": "0"},
+        )
+        assert probe.returncode == 1
+        assert "native kernel" in probe.stderr
+
+    def test_check_scales_another_machines_baseline_by_bigint(self):
+        history = [{
+            "machine": {"arch": "other"}, "kernel": {"native": True},
+            "fused_us_per_fault": 2.0, "backends": {"bigint": 10.0},
+        }]
+        entry = {
+            "machine": {"arch": "here"}, "circuit": "b14",
+            "num_faults": 1, "num_cycles": 1, "backends": {"bigint": 20.0},
+        }
+        expected, basis = expected_fused_us(history, entry)
+        assert expected == pytest.approx(4.0)
+        assert "bigint ratio 2.00" in basis
+
+    @pytest.mark.parametrize(
+        "cpus, workers2, passed",
+        [(2, 1.0, True), (2, 1.01, False), (1, 1.10, True), (1, 1.11, False)],
+    )
+    def test_scaling_gate_decision(self, cpus, workers2, passed):
+        ratio, limit = scaling_gate({1: 1.0, 2: workers2}, cpus)
+        assert ratio == pytest.approx(workers2)
+        assert limit == pytest.approx(1.0 if cpus >= 2 else 1.10)
+        assert (ratio <= limit) is passed
+
+    def test_scaling_gate_needs_workers_one_and_two(self):
+        assert scaling_gate({1: 1.0, 4: 0.5}, cpus=4) is None
+
+    def test_cli_import_leaves_bench_module_unloaded(self):
+        """`repro serve` starts through repro.run.cli, so the bench
+        module must stay out of the CLI's import cost."""
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.run.cli; "
+             "print('repro.run.bench' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": SRC_ROOT},
+        )
+        assert probe.stdout.strip() == "False"
 
 
 class TestHelpText:

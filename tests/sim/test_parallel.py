@@ -11,7 +11,7 @@ from repro.errors import CampaignError
 from repro.faults.classify import FaultClass
 from repro.faults.model import SeuFault, exhaustive_fault_list
 from repro.sim.cycle import replay_single_fault, run_golden
-from repro.sim.parallel import grade_faults
+from repro.sim.parallel import DEFAULT_BACKEND, grade_faults
 from repro.sim.vectors import Testbench, constant_testbench, random_testbench
 from tests.conftest import (
     build_counter,
@@ -26,6 +26,10 @@ CIRCUITS = {
     "sticky": build_sticky,
     "toggle": build_toggle,
 }
+
+
+def test_fused_is_the_default_backend():
+    assert DEFAULT_BACKEND == "fused"
 
 
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
