@@ -130,7 +130,7 @@ def run_bench(spec, workers: Sequence[int], shards: Optional[int] = None,
         for name in sorted(available_engines())
     }
     stats = get_engine("fused").last_stats
-    kernel = {"native": bool(stats.get("native")), "threads": stats.get("threads") or 1}
+    kernel = {"native": bool(stats.get("native"))}
     runner = {}
     for count in workers:
         with CampaignRunner(workers=count, shards=shards) as pool:

@@ -750,10 +750,7 @@ def _cmd_workers_ping(args: argparse.Namespace) -> int:
             )
             continue
         kernel = status.get("kernel", {})
-        kernel_text = (
-            ("native" if kernel.get("native") else "python")
-            + f" x{kernel.get('threads', 1)}"
-        )
+        kernel_text = "native" if kernel.get("native") else "python"
         table.add_row(
             [
                 status["host"],
@@ -1250,7 +1247,7 @@ exit codes:
   rtt_ms             status-probe round trip in milliseconds
   protocol           wire protocol version the worker speaks
   pid, uptime_s      worker process id and seconds since start
-  kernel             {"native": bool, "threads": int} grading kernel
+  kernel             {"native": bool} grading kernel
   campaigns_cached   campaign digests held in the artifact cache
   stats              lifetime counters: shards_graded, faults_graded,
                      digest_hits, digest_misses,

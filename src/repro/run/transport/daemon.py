@@ -368,10 +368,7 @@ class WorkerDaemon:
             "protocol": wire.PROTOCOL_VERSION,
             "pid": os.getpid(),
             "uptime_s": round(time.time() - self.started_at, 1),
-            "kernel": {
-                "native": bool(native),
-                "threads": int(stats.get("threads", 1) or 1),
-            },
+            "kernel": {"native": bool(native)},
             "campaigns_cached": campaigns,
             **snapshot,
         }

@@ -96,7 +96,7 @@ class LocalPoolTransport(ShardTransport):
                 max_workers=self.workers,
                 mp_context=context,
                 initializer=worker.worker_init,
-                initargs=(package_root, self.workers),
+                initargs=(package_root,),
             )
         return self._pool
 

@@ -14,7 +14,6 @@ single worker, so serial and pooled execution share one code path.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from typing import Dict, Optional, Sequence, Tuple
@@ -31,19 +30,11 @@ from repro.sim.cache import evict_oldest
 _SCENARIOS: Dict[str, Scenario] = {}
 
 
-def worker_init(path_entry: Optional[str], workers: int) -> None:
+def worker_init(path_entry: Optional[str]) -> None:
     """Pool initializer: make the repro package importable in children
-    (``spawn`` does not inherit the parent's ``sys.path``) and give each
-    child its share of the kernel's default thread width, so ``workers``
-    children do not oversubscribe the CPUs one process's pool was sized
-    for. A width pinned by ``REPRO_FUSED_THREADS`` is left alone.
-    """
+    (``spawn`` does not inherit the parent's ``sys.path``)."""
     if path_entry and path_entry not in sys.path:
         sys.path.insert(0, path_entry)
-    if not os.environ.get("REPRO_FUSED_THREADS"):
-        from repro.sim.backends._native import configure_threads, default_threads
-
-        configure_threads(max(1, default_threads() // workers))
 
 
 def scenario_for(spec: CampaignSpec) -> Scenario:

@@ -10,32 +10,24 @@ model. It provides these entry points:
     range ``[w_start, w_stop)``. Every inner loop is restrict-qualified
     so ``-O3 -march=native`` auto-vectorizes it into full-width SIMD
     (AVX2/AVX-512 where available, NEON on arm); the portable ``-O2``
-    fallback build runs the same scalar C. When the persistent thread
-    pool is enabled the column range is split into contiguous chunks,
-    one per thread: writes are disjoint by construction, so the result
-    is bit-exact regardless of thread count. The pool has a single job
-    slot, so concurrent callers that use it take turns on a caller
-    mutex; a 1-thread call takes no lock. The golden trace and the
+    fallback build runs the same scalar C. The golden trace and the
     non-SEU fault models call it once per cycle.
 
 ``repro_grade_seu``
     A whole plain-SEU grade in one call: per cycle it seeds the newly
     injected lanes from the golden state and flips their bits, runs
-    the cycle through the same pool dispatch as ``repro_grade_cycle``
-    (so thread count and the caller mutex behave alike), records fail
-    and vanish cycles by walking the per-word diffs bit by bit, and
-    squeezes re-converged lanes out of every flop row with a PEXT
-    compactor (BMI2 where available) so later cycles stream only live
-    lanes. It stops once every fault has been injected and vanished,
-    and returns the cycles executed and the repack count.
+    the cycle through the same column loop as ``repro_grade_cycle``,
+    records fail and vanish cycles by walking the per-word diffs bit by
+    bit, and squeezes re-converged lanes out of every flop row with a
+    PEXT compactor (BMI2 where available) so later cycles stream only
+    live lanes. It stops once every fault has been injected and
+    vanished, and returns the cycles executed and the repack count.
 
-``repro_set_threads`` / ``repro_threads``
-    Configure the persistent pthread worker pool. Pool threads are
-    created once and parked on a condition variable between cycles;
-    ``REPRO_FUSED_THREADS`` picks the default width (min(4, cpus) when
-    unset). A build without pthreads (``-DREPRO_NO_THREADS``) pins the
-    width to 1. Fork is detected by pid and the pool and its locks are
-    lazily rebuilt in the child, so multiprocessing workers stay safe.
+Every call runs on the thread that made it, takes no lock and touches
+only the buffers its caller passed in, so independent grades run
+concurrently (``ctypes`` releases the GIL for the call). Parallelism
+comes from grading separate shards at once, not from splitting one
+simulation.
 
 No compiler, a failed compile, or ``REPRO_FUSED_NATIVE=0`` in the
 environment makes :func:`native_kernel` return ``None``; the fused
@@ -68,12 +60,6 @@ _SOURCE = r"""
 #include <immintrin.h>
 #endif
 
-#ifndef REPRO_NO_THREADS
-#include <pthread.h>
-#include <unistd.h>
-#define REPRO_MAX_THREADS 64
-#endif
-
 /* ------------------------------------------------------------------ */
 /* one emulation cycle over a column range                             */
 /* ------------------------------------------------------------------ */
@@ -97,14 +83,14 @@ struct gc_args {
     long q_start;
     uint64_t *state_diff;
     uint64_t *dtmp;
-    long parts, chunk;
 };
 
-static void run_range(const struct gc_args *A, long lo, long hi,
-                      uint64_t *restrict scr)
+static void run_range(const struct gc_args *A)
 {
     long width = A->width;
-    long wl = hi - lo;
+    long lo = A->w_start;
+    long wl = A->w_stop - lo;
+    uint64_t *restrict scr = A->dtmp;
     uint64_t *values = A->values;
     if (wl <= 0) return;
 
@@ -161,160 +147,6 @@ static void run_range(const struct gc_args *A, long lo, long hi,
     }
 }
 
-/* ------------------------------------------------------------------ */
-/* persistent thread pool                                              */
-/* ------------------------------------------------------------------ */
-
-#ifndef REPRO_NO_THREADS
-static pthread_mutex_t g_mx;
-static pthread_cond_t g_cv_work, g_cv_done;
-static int g_sync_init = 0;
-static long g_pool_pid = -1;
-static long g_threads = 1;   /* configured width */
-static long g_spawned = 0;   /* live pool workers (caller excluded) */
-static unsigned long g_gen = 0;
-static long g_pending = 0;
-static struct gc_args g_args;
-static struct pool_worker { long idx; unsigned long seen; }
-    g_w[REPRO_MAX_THREADS];
-/* The pool has one job slot (g_args/g_gen/g_pending), so concurrent
- * callers take turns: g_call_mx is held from pool_ensure until the
- * caller's job has drained. It is valid from load (static init) in the
- * loading process; a forked child re-initialises it on first use, since
- * the fork may have copied it locked. */
-static pthread_mutex_t g_call_mx = PTHREAD_MUTEX_INITIALIZER;
-static long g_call_pid = -1;
-
-__attribute__((constructor)) static void call_lock_init(void)
-{
-    g_call_pid = (long)getpid();
-}
-
-static void call_lock(void)
-{
-    long pid = (long)getpid();
-    if (g_call_pid != pid) {
-        pthread_mutex_init(&g_call_mx, 0);
-        g_call_pid = pid;
-    }
-    pthread_mutex_lock(&g_call_mx);
-}
-
-static void *pool_main(void *arg)
-{
-    struct pool_worker *me = arg;
-    for (;;) {
-        pthread_mutex_lock(&g_mx);
-        while (me->seen == g_gen) pthread_cond_wait(&g_cv_work, &g_mx);
-        me->seen = g_gen;
-        struct gc_args A = g_args;
-        pthread_mutex_unlock(&g_mx);
-        if (me->idx < A.parts) {
-            long lo = A.w_start + me->idx * A.chunk;
-            long hi = lo + A.chunk;
-            if (hi > A.w_stop) hi = A.w_stop;
-            run_range(&A, lo, hi, A.dtmp + me->idx * A.n_ff * A.chunk);
-        }
-        pthread_mutex_lock(&g_mx);
-        if (--g_pending == 0) pthread_cond_signal(&g_cv_done);
-        pthread_mutex_unlock(&g_mx);
-    }
-    return 0;
-}
-
-/* Ensure `want - 1` parked workers exist; returns the usable width.
- * After fork() only the calling thread survives, so a pid change means
- * the pool (and possibly the mutex state) is gone: reinitialize. */
-static long pool_ensure(long want)
-{
-    long pid = (long)getpid();
-    if (g_pool_pid != pid) {
-        g_pool_pid = pid;
-        g_spawned = 0;
-        g_sync_init = 0;
-    }
-    if (!g_sync_init) {
-        pthread_mutex_init(&g_mx, 0);
-        pthread_cond_init(&g_cv_work, 0);
-        pthread_cond_init(&g_cv_done, 0);
-        g_sync_init = 1;
-    }
-    while (g_spawned < want - 1) {
-        struct pool_worker *w = &g_w[g_spawned];
-        w->idx = g_spawned + 1;
-        w->seen = g_gen;
-        pthread_t t;
-        if (pthread_create(&t, 0, pool_main, w) != 0) break;
-        pthread_detach(t);
-        g_spawned++;
-    }
-    return g_spawned + 1;
-}
-#endif
-
-long repro_set_threads(long n)
-{
-#ifdef REPRO_NO_THREADS
-    (void)n;
-    return 1;
-#else
-    if (n < 1) n = 1;
-    if (n > REPRO_MAX_THREADS) n = REPRO_MAX_THREADS;
-    g_threads = n;
-    return n;
-#endif
-}
-
-long repro_threads(void)
-{
-#ifdef REPRO_NO_THREADS
-    return 1;
-#else
-    return g_threads;
-#endif
-}
-
-/* Simulate one cycle over A's column range. When the pool is enabled
- * the range is split into contiguous chunks, one per thread, at least
- * 8 word columns each. */
-static void dispatch(struct gc_args *A)
-{
-    long span = A->w_stop - A->w_start;
-    A->parts = 1;
-    A->chunk = span;
-#ifndef REPRO_NO_THREADS
-    long parts = g_threads;
-    long maxp = span / 8;
-    if (maxp < 1) maxp = 1;
-    if (parts > maxp) parts = maxp;
-    if (parts > 1) {
-        call_lock();
-        long avail = pool_ensure(parts);
-        if (parts > avail) parts = avail;
-        if (parts < 2) pthread_mutex_unlock(&g_call_mx);
-    }
-    if (parts > 1) {
-        A->parts = parts;
-        A->chunk = (span + parts - 1) / parts;
-        pthread_mutex_lock(&g_mx);
-        g_args = *A;
-        g_pending = g_spawned;
-        g_gen++;
-        pthread_cond_broadcast(&g_cv_work);
-        pthread_mutex_unlock(&g_mx);
-        long hi0 = A->w_start + A->chunk;
-        if (hi0 > A->w_stop) hi0 = A->w_stop;
-        run_range(A, A->w_start, hi0, A->dtmp);
-        pthread_mutex_lock(&g_mx);
-        while (g_pending) pthread_cond_wait(&g_cv_done, &g_mx);
-        pthread_mutex_unlock(&g_mx);
-        pthread_mutex_unlock(&g_call_mx);
-        return;
-    }
-#endif
-    run_range(A, A->w_start, A->w_stop, A->dtmp);
-}
-
 void repro_grade_cycle(
     uint64_t *values, long width, long w_start, long w_stop,
     const int32_t *ops, long nops,
@@ -327,9 +159,9 @@ void repro_grade_cycle(
     struct gc_args A = {
         values, width, w_start, w_stop, ops, nops, in_mask, n_in,
         out_slots, out_mask, n_out, out_diff, d_slots, state_mask,
-        n_ff, q_start, state_diff, dtmp, 1, 0,
+        n_ff, q_start, state_diff, dtmp,
     };
-    dispatch(&A);
+    run_range(&A);
 }
 
 /* ------------------------------------------------------------------ */
@@ -416,9 +248,9 @@ long repro_grade_seu(
     int32_t *fail, int32_t *vanish, long *repacks)
 {
     /* out_diff, state_diff, not_failed, not_vanished, lane_map, then D
-     * scratch with room for every pool chunk to round up */
+     * scratch */
     long words = width + 1;
-    uint64_t *scratch = calloc(68 * words + n_ff * (words + 64), 8);
+    uint64_t *scratch = calloc((68 + n_ff) * words, 8);
     if (!scratch) return -1;
     uint64_t *not_failed = scratch + 2 * words;
     uint64_t *not_vanished = scratch + 3 * words;
@@ -426,7 +258,7 @@ long repro_grade_seu(
     struct gc_args A = {
         values, width, 0, 0, ops, nops, 0, n_in,
         out_slots, 0, n_out, scratch, d_slots, 0,
-        n_ff, q_start, scratch + words, scratch + 68 * words, 1, 0,
+        n_ff, q_start, scratch + words, scratch + 68 * words,
     };
     long packed = 0;   /* packed positions in use */
     long live = 0;     /* unresolved lanes among them */
@@ -473,7 +305,7 @@ long repro_grade_seu(
         A.in_mask = in_masks + cycle * n_in;
         A.out_mask = out_masks + cycle * n_out;
         A.state_mask = state_masks + (cycle + 1) * n_ff;
-        dispatch(&A);
+        run_range(&A);
 
         for (long w = 0; w < n_act; w++) {
             uint64_t failed = A.out_diff[w] & not_failed[w];
@@ -515,17 +347,18 @@ long repro_grade_seu(
 }
 """
 
-#: the C pool's width cap (REPRO_MAX_THREADS above)
-MAX_THREADS = 64
-
 #: tri-state: None = not tried yet, False = unavailable, else the kernel
 _KERNEL = None
 
 
 class NativeKernel:
-    """ctypes bindings plus the configured thread-pool width."""
+    """ctypes bindings to the compiled kernel."""
 
-    __slots__ = ("grade_cycle", "grade_seu", "threads", "_set_threads")
+    __slots__ = ("grade_cycle", "grade_seu")
+
+    #: threads per call: always the caller's own (benchmark fingerprints
+    #: record it)
+    threads = 1
 
     def __init__(self, library: ctypes.CDLL):
         longs = ctypes.c_long
@@ -556,27 +389,6 @@ class NativeKernel:
             i32, i32, ctypes.POINTER(longs),
         ]
 
-        self._set_threads = library.repro_set_threads
-        self._set_threads.restype = longs
-        self._set_threads.argtypes = [longs]
-        self.threads = 1
-
-    def set_threads(self, count: int) -> int:
-        """Resize the persistent pool; returns the effective width."""
-        self.threads = int(self._set_threads(int(count)))
-        return self.threads
-
-
-def default_threads() -> int:
-    """Pool width from ``REPRO_FUSED_THREADS``, else min(4, cpus)."""
-    raw = os.environ.get("REPRO_FUSED_THREADS", "")
-    try:
-        if raw:
-            return max(1, int(raw))
-    except ValueError:
-        pass
-    return max(1, min(4, os.cpu_count() or 1))
-
 
 def native_kernel() -> Optional[NativeKernel]:
     """The compiled cycle kernel, or None when unavailable."""
@@ -584,15 +396,6 @@ def native_kernel() -> Optional[NativeKernel]:
     if _KERNEL is None:
         _KERNEL = _load() or False
     return _KERNEL or None
-
-
-def configure_threads(count: int) -> int:
-    """Set the kernel pool width; returns the effective width (1 when
-    the native kernel is unavailable or built without threads)."""
-    kernel = native_kernel()
-    if kernel is None:
-        return 1
-    return kernel.set_threads(count)
 
 
 def _cpu_tag() -> str:
@@ -623,19 +426,13 @@ def _cache_path() -> str:
     return os.path.join(base, f"repro-fused-native-{digest}.so")
 
 
-def _bind(library: ctypes.CDLL) -> NativeKernel:
-    kernel = NativeKernel(library)
-    kernel.set_threads(default_threads())
-    return kernel
-
-
 def _load():
     if os.environ.get("REPRO_FUSED_NATIVE", "1") == "0":
         return None
     shared_object = _cache_path()
     if os.path.exists(shared_object):
         try:
-            return _bind(ctypes.CDLL(shared_object))
+            return NativeKernel(ctypes.CDLL(shared_object))
         except OSError:
             pass  # stale/foreign-arch cache entry; recompile below
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
@@ -648,11 +445,7 @@ def _load():
             with open(source, "w") as handle:
                 handle.write(_SOURCE)
             built = os.path.join(workdir, "kernel.so")
-            for flags in (
-                ["-O3", "-march=native", "-pthread"],
-                ["-O2", "-pthread"],
-                ["-O2", "-DREPRO_NO_THREADS"],
-            ):
+            for flags in (["-O3", "-march=native"], ["-O2"]):
                 result = subprocess.run(
                     [compiler, "-shared", "-fPIC", *flags, source, "-o", built],
                     capture_output=True,
@@ -665,6 +458,6 @@ def _load():
             temp = shared_object + f".{os.getpid()}.tmp"
             shutil.copy(built, temp)
             os.replace(temp, shared_object)
-        return _bind(ctypes.CDLL(shared_object))
+        return NativeKernel(ctypes.CDLL(shared_object))
     except (OSError, subprocess.SubprocessError):
         return None

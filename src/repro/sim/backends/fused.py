@@ -49,7 +49,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.faults.model import SeuFault, fault_columns
 from repro.sim.backends import numpy_engine as _numpy_engine  # noqa: F401
-from repro.sim.backends._native import MAX_THREADS, native_kernel
+from repro.sim.backends._native import native_kernel
 from repro.sim.backends.base import GradingEngine, get_engine, register_engine
 from repro.sim.inject import WordInjector, schedule_for
 from repro.sim.compile import (
@@ -331,10 +331,7 @@ def _bind_kernel(kernel, program: FusedProgram, num_words: int, masks: tuple):
     num_flops = len(d_slots)
     out_diff = np.zeros(num_words, dtype=np.uint64)
     state_diff = np.zeros(num_words, dtype=np.uint64)
-    # One chunk of D scratch per pool thread; chunks round up, so any
-    # width up to the pool cap fits even if another thread resizes the
-    # pool mid-grade (the kernel reads the width on every call).
-    d_scratch = np.empty(num_flops * (num_words + MAX_THREADS), dtype=np.uint64)
+    d_scratch = np.empty(num_flops * num_words, dtype=np.uint64)
     grade_cycle = kernel.grade_cycle
     # Addresses are resolved once: ``.ctypes.data`` costs microseconds and
     # ``run`` is called every cycle (a golden pass is all such one-word
@@ -447,7 +444,6 @@ class FusedEngine(GradingEngine):
             "num_cycles": num_cycles,
             "num_words": (len(faults) + 63) // 64,
             "native": True,
-            "threads": kernel.threads,
             **stats,
         }
         return fail_cycle, vanish_cycle

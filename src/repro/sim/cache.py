@@ -26,7 +26,10 @@ Two layers share one key space:
 * **Disk cache** — :class:`DiskArtifactCache` persists compiled plans
   and golden traces under a content-keyed directory tree (netlist digest
   x stimulus digest), so pool workers and repeated runs skip the warmup
-  instead of re-deriving it per process. Golden traces are stored as
+  instead of re-deriving it per process. Golden traces go to disk only
+  without the native kernel: its golden pass takes a few milliseconds
+  on b14, about what a load saves, and storing every fresh stimulus
+  would grow the tree without bound. Golden traces are stored as
   ``.npy`` byte matrices and opened read-only with ``mmap``; every
   payload carries a SHA-256 in a sidecar ``meta.json`` and a corrupted
   or truncated entry is silently rebuilt, never trusted. Artifacts
@@ -369,30 +372,31 @@ def compiled_for(netlist_or_compiled) -> CompiledNetlist:
 def golden_for(compiled: CompiledNetlist, testbench: Testbench) -> GoldenTrace:
     """Run (or reuse) the golden trace for ``compiled`` under ``testbench``.
 
-    Computed by the native kernel's golden pass, or by the scalar
-    :func:`run_golden` when the kernel is unavailable. Keyed by
-    (netlist digest, stimulus digest) — the exact key the disk layer
-    uses, so in-process callers, pooled workers and separate runs of the
-    same campaign all resolve to one artifact.
+    Computed by the native kernel's golden pass when it is available;
+    only the scalar :func:`run_golden` fallback reads and writes the
+    disk layer, where the copy saves real time. Keyed by (netlist digest,
+    stimulus digest) — the exact key the disk layer uses, so in-process
+    callers, pooled workers and separate runs of the same campaign all
+    resolve to one artifact.
     """
     key = (netlist_digest(compiled.source), testbench.stimulus_digest())
     try:
         return _GOLDEN[key]
     except KeyError:
         pass
-    disk = (
-        disk_cache()
-        if testbench.num_cycles >= DISK_MIN_CYCLES
-        and compiled.num_flops >= DISK_MIN_FLOPS
-        else None
-    )
-    golden = disk.load_golden(*key) if disk is not None else None
+    golden = golden_trace(compiled, testbench)
     if golden is None:
-        golden = golden_trace(compiled, testbench)
+        disk = (
+            disk_cache()
+            if testbench.num_cycles >= DISK_MIN_CYCLES
+            and compiled.num_flops >= DISK_MIN_FLOPS
+            else None
+        )
+        golden = disk.load_golden(*key) if disk is not None else None
         if golden is None:
             golden = run_golden(compiled, testbench)
-        if disk is not None:
-            disk.store_golden(key[0], key[1], golden)
+            if disk is not None:
+                disk.store_golden(key[0], key[1], golden)
     evict_oldest(_GOLDEN, _MAX_GOLDEN)
     _GOLDEN[key] = golden
     return golden

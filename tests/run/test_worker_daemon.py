@@ -218,7 +218,7 @@ class TestDigestNegotiation:
         assert status["alive"] is True
         assert status["protocol"] == wire.PROTOCOL_VERSION
         assert status["pid"] == os.getpid()
-        assert {"native", "threads"} <= set(status["kernel"])
+        assert set(status["kernel"]) == {"native"}
         assert "digest_hits" in status and "shards_graded" in status
         assert status["rtt_ms"] >= 0
 
@@ -300,16 +300,14 @@ class TestFleetGrading:
 
 
 class TestConcurrentClients:
-    def test_two_clients_on_one_worker_with_a_threaded_kernel(
-        self, worker_fleet
-    ):
+    def test_two_clients_on_one_worker(self, worker_fleet):
         """The daemon grades each connection on its own thread, so two
         clients sharing one worker run the native kernel concurrently.
-        With its pool two threads wide, both campaigns must still match
-        their serial digests; a hang fails on the join timeout."""
+        Both campaigns must still match their serial digests; a hang
+        fails on the join timeout."""
         spec = CampaignSpec(circuit="b14", technique="time_multiplexed")
         serial = CampaignRunner(workers=1).grade(spec).outcome_digest()
-        _, address = worker_fleet({"REPRO_FUSED_THREADS": "2"})
+        _, address = worker_fleet()
         digests = [None, None]
         errors = []
 

@@ -1,13 +1,14 @@
 """Concurrent grading in one process must be bit-exact.
 
 ``repro worker`` serves each connection on its own thread, so several
-grades can run at once on one compiled netlist and one native thread
-pool. Every scenario grades one b14 fault sample from four threads at
-once and requires each digest to equal the serial one, for every fault
-model family and at kernel pool widths 1 and 2; another grades while a
-second thread computes kernel golden traces on the same compiled
-netlist. All grading runs on worker threads joined with a timeout, so a
-deadlocked pool fails the test instead of stalling the run.
+grades can run at once on one compiled netlist, each a native kernel
+call on buffers of its own. Every scenario grades one b14 fault sample
+from four threads at once and requires each digest to equal the serial
+one, for every fault model family; another grades the runner's b14
+shard windows on four threads at once; a third grades while a second
+thread computes kernel golden traces on the same compiled netlist. All
+grading runs on worker threads joined with a timeout, so a deadlock
+fails the test instead of stalling the run.
 """
 
 from __future__ import annotations
@@ -21,18 +22,17 @@ import pytest
 from repro.circuits.itc99.b14 import b14_program_testbench, build_b14
 from repro.eval.paper import PAPER_B14
 from repro.faults.models import get_fault_model
-from repro.sim.backends._native import (
-    configure_threads,
-    default_threads,
-    native_kernel,
-)
+from repro.run import worker
+from repro.run.runner import CampaignRunner, plan_windows
+from repro.run.spec import CampaignSpec
+from repro.sim.backends._native import native_kernel
 from repro.sim.backends.fused import golden_trace
 from repro.sim.cache import compiled_for
 from repro.sim.parallel import grade_faults
 
 MODELS = ["seu", "stuck_at_1", "mbu:2", "intermittent:4:2"]
 CLIENTS = 4
-#: wide enough that the kernel splits the word range across pool threads
+#: dozens of lane words per grade
 SAMPLE = 3000
 JOIN_TIMEOUT_S = 120.0
 
@@ -44,13 +44,6 @@ def b14_scenario():
         circuit, PAPER_B14["stimulus_vectors"], seed=0
     )
     return circuit, bench
-
-
-@pytest.fixture
-def restore_threads():
-    """Put the kernel's pool width back however a test leaves it."""
-    yield
-    configure_threads(default_threads())
 
 
 def run_concurrently(tasks) -> list:
@@ -87,17 +80,13 @@ def run_concurrently(tasks) -> list:
     return results
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("model_name", MODELS)
-def test_concurrent_grades_match_serial(
-    b14_scenario, model_name, threads, restore_threads
-):
+def test_concurrent_grades_match_serial(b14_scenario, model_name):
     circuit, bench = b14_scenario
     population = get_fault_model(model_name).population(
         circuit, bench.num_cycles
     )
     faults = random.Random(13).sample(population, SAMPLE)
-    configure_threads(threads)
 
     def grade() -> str:
         return grade_faults(circuit, bench, faults).outcome_digest()
@@ -106,9 +95,31 @@ def test_concurrent_grades_match_serial(
     assert run_concurrently([grade] * CLIENTS) == [serial] * CLIENTS
 
 
+def test_concurrent_shard_windows_match_serial():
+    """The runner's unit of work, one shard window per thread: the
+    windows graded at once concatenate to the serial campaign."""
+    spec = CampaignSpec("b14", "time_multiplexed")
+    serial = CampaignRunner(workers=1).grade(spec)
+    worker.prewarm(spec)
+    spec_dict = spec.to_dict()
+    windows = plan_windows(spec.resolved_cycles(), CLIENTS)
+    records = run_concurrently([
+        lambda window=window: worker.grade_window(
+            spec_dict, window.index, window.start_cycle, window.end_cycle
+        )
+        for window in windows
+    ])
+    assert all(record["num_faults"] for record in records)
+    assert b"".join(record["fail_cycles"] for record in records) == (
+        serial.fail_cycles.tobytes()
+    )
+    assert b"".join(record["vanish_cycles"] for record in records) == (
+        serial.vanish_cycles.tobytes()
+    )
+
+
 @pytest.mark.skipif(native_kernel() is None, reason="native kernel unavailable")
-@pytest.mark.parametrize("threads", [1, 2])
-def test_golden_pass_beside_a_grade(b14_scenario, threads, restore_threads):
+def test_golden_pass_beside_a_grade(b14_scenario):
     """Kernel golden passes for fresh stimuli run while a grade streams
     the same compiled netlist; neither may disturb the other."""
     circuit, bench = b14_scenario
@@ -119,7 +130,6 @@ def test_golden_pass_beside_a_grade(b14_scenario, threads, restore_threads):
         b14_program_testbench(circuit, PAPER_B14["stimulus_vectors"], seed=seed)
         for seed in range(1, 9)
     ]
-    configure_threads(threads)
 
     def grade() -> str:
         return grade_faults(compiled, bench, faults).outcome_digest()

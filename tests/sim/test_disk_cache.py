@@ -3,7 +3,9 @@
 Covers the properties the pooled runner depends on: artifacts written by
 one process are readable by a later one (kill-and-resume), corrupted or
 truncated entries are silently rebuilt — never trusted — and scenarios
-below the campaign-scale thresholds stay session-only.
+below the campaign-scale thresholds stay session-only. Golden traces
+reach the disk only on the scalar path (no native kernel), so the
+golden cases run with the kernel switched off.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import sys
 import pytest
 
 import repro
+import repro.sim.cache as cache_module
 from repro.circuits.registry import build_circuit
+from repro.sim.backends._native import native_kernel
 from repro.sim.cache import (
     DISK_MIN_CYCLES,
     DiskArtifactCache,
@@ -45,6 +49,7 @@ bench = random_testbench(netlist, 40, seed=3)
 def _run_python(code: str, cache_dir: str) -> str:
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = cache_dir
+    env["REPRO_FUSED_NATIVE"] = "0"
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -64,6 +69,22 @@ def cache_dir(tmp_path, monkeypatch):
     clear_caches()
     yield str(tmp_path)
     clear_caches()
+
+
+@pytest.fixture
+def scalar_golden(monkeypatch):
+    """Golden traces from the scalar ``run_golden``, as with
+    ``REPRO_FUSED_NATIVE=0``: the path that uses the disk layer."""
+    monkeypatch.setattr("repro.sim.backends.fused.native_kernel", lambda: None)
+
+
+def _golden_files(root: str) -> list:
+    return [
+        name
+        for _, _, names in os.walk(root)
+        for name in names
+        if name.startswith("golden_")
+    ]
 
 
 def _golden_dir(netlist, bench) -> str:
@@ -103,7 +124,7 @@ class TestRestartSurvival:
             digest, outputs_sum, states_sum,
         ]
 
-    def test_cache_layout_is_content_keyed(self, cache_dir):
+    def test_cache_layout_is_content_keyed(self, cache_dir, scalar_golden):
         netlist = build_circuit("b04")
         bench = random_testbench(netlist, 40, seed=3)
         golden_for(compiled_for(netlist), bench)
@@ -116,6 +137,7 @@ class TestRestartSurvival:
             assert os.path.exists(os.path.join(golden_dir, name))
 
 
+@pytest.mark.usefixtures("scalar_golden")
 class TestCorruptionRebuild:
     def _populate(self):
         netlist = build_circuit("b04")
@@ -206,3 +228,35 @@ class TestThresholdsAndRoundtrip:
         golden_for(compiled_for(netlist), bench)
         nd = netlist_digest(netlist)
         assert not os.path.exists(os.path.join(cache_root(), nd[:2], nd))
+
+
+class TestGoldenOnDisk:
+    def test_kernel_golden_leaves_no_golden_file(self, cache_dir):
+        """A fresh stimulus costs one kernel golden pass and no disk
+        entry, so fresh-seed campaigns do not grow the cache."""
+        if native_kernel() is None:
+            pytest.skip("native kernel unavailable")
+        netlist = build_circuit("b04")
+        bench = random_testbench(netlist, 2 * DISK_MIN_CYCLES, seed=4)
+        golden_for(compiled_for(netlist), bench)
+        nd = netlist_digest(netlist)
+        assert os.path.exists(os.path.join(cache_root(), nd[:2], nd))
+        assert _golden_files(cache_dir) == []
+
+    def test_scalar_golden_is_stored_and_loaded(
+        self, cache_dir, scalar_golden, monkeypatch
+    ):
+        netlist = build_circuit("b04")
+        bench = random_testbench(netlist, 2 * DISK_MIN_CYCLES, seed=4)
+        golden = golden_for(compiled_for(netlist), bench)
+        assert sorted(_golden_files(cache_dir)) == [
+            "golden_outputs.npy", "golden_states.npy",
+        ]
+        clear_caches()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("golden recomputed instead of loaded")
+
+        monkeypatch.setattr(cache_module, "run_golden", boom)
+        loaded = golden_for(compiled_for(netlist), bench)
+        assert (loaded.outputs, loaded.states) == (golden.outputs, golden.states)

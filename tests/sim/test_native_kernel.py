@@ -1,11 +1,10 @@
-"""Differential tests for the vectorized / threaded native kernel.
+"""Differential tests for the vectorized native kernel.
 
-The fused engine's C kernel went multi-word: fault populations wider
-than 64 lanes span several uint64 words per flop row, dead lanes are
-compacted away mid-campaign, and an optional persistent thread pool
-splits the word range across workers. Every one of those paths must be
-bit-exact against the pure-Python engines — these tests force each of
-them on random netlists whose populations genuinely exceed one word.
+The fused engine's C kernel is multi-word: fault populations wider
+than 64 lanes span several uint64 words per flop row, and dead lanes
+are compacted away mid-campaign. Both paths must be bit-exact against
+the pure-Python engines — these tests force each of them on random
+netlists whose populations genuinely exceed one word.
 """
 
 from __future__ import annotations
@@ -20,11 +19,7 @@ from repro.netlist.builder import NetlistBuilder
 from repro.run.spec import CampaignSpec
 from repro.run.worker import window_slice
 from repro.sim.backends import get_engine
-from repro.sim.backends._native import (
-    configure_threads,
-    default_threads,
-    native_kernel,
-)
+from repro.sim.backends._native import native_kernel
 from repro.sim.compile import compile_netlist
 from repro.sim.cycle import run_golden
 from repro.sim.parallel import grade_faults
@@ -41,8 +36,8 @@ def _wide_scenario(seed: int):
     """A random circuit whose fault population spans many lane words.
 
     65+ flops x 40 cycles puts thousands of faults in flight, so the
-    kernel runs multi-word rows, triggers mid-campaign lane compaction
-    and (when enabled) gives every pool thread a non-trivial chunk.
+    kernel runs multi-word rows and triggers mid-campaign lane
+    compaction.
     """
     netlist = random_netlist(
         seed, min_flops=65, max_flops=96, max_gates=220, max_inputs=6
@@ -51,13 +46,6 @@ def _wide_scenario(seed: int):
     faults = exhaustive_fault_list(netlist, bench.num_cycles)
     assert len(faults) > 64  # must exceed one 64-lane word
     return netlist, bench, faults
-
-
-@pytest.fixture
-def restore_threads():
-    """Put the kernel's thread count back however a test leaves it."""
-    yield
-    configure_threads(default_threads())
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -72,30 +60,6 @@ def test_wide_population_bit_exact_vs_python_engines(seed):
         )
         assert list(fused.fail_cycles) == list(reference.fail_cycles), reference_backend
         assert list(fused.vanish_cycles) == list(reference.vanish_cycles), reference_backend
-
-
-@pytest.mark.parametrize("threads", [2, 3])
-@pytest.mark.parametrize("seed", [5, 6])
-def test_threaded_kernel_bit_exact(seed, threads, restore_threads):
-    netlist, bench, faults = _wide_scenario(seed)
-    reference = grade_faults(netlist, bench, faults, backend="numpy")
-    configure_threads(threads)
-    fused = grade_faults(netlist, bench, faults, backend="fused")
-    stats = get_engine("fused").last_stats
-    assert stats.get("native")
-    assert stats.get("threads") == threads
-    assert list(fused.fail_cycles) == list(reference.fail_cycles)
-    assert list(fused.vanish_cycles) == list(reference.vanish_cycles)
-
-
-def test_thread_count_changes_do_not_change_results(restore_threads):
-    netlist, bench, faults = _wide_scenario(7)
-    outcomes = []
-    for threads in (1, 2, 4):
-        configure_threads(threads)
-        result = grade_faults(netlist, bench, faults, backend="fused")
-        outcomes.append((list(result.fail_cycles), list(result.vanish_cycles)))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_compaction_reported_and_exact_on_b14_sample():
@@ -168,24 +132,12 @@ def test_converged_population_exits_before_the_bench_ends():
     assert stats["cycles_executed"] < bench.num_cycles
 
 
-def test_b14_shard_window_digest_is_the_same_at_every_pool_width(
-    restore_threads,
-):
+def test_b14_shard_window_matches_bigint():
     scenario = CampaignSpec("b14", "time_multiplexed").scenario()
     lo, hi = window_slice(scenario.faults, 0, 40)
-    window = scenario.faults[lo:hi]
-    digests = set()
-    for threads in (1, 2, 3):
-        configure_threads(threads)
-        result = grade_faults(
-            scenario.netlist, scenario.testbench, window, backend="fused"
-        )
-        assert get_engine("fused").last_stats["threads"] == threads
-        digests.add(result.outcome_digest())
-    reference = grade_faults(
-        scenario.netlist, scenario.testbench, window, backend="bigint"
+    _fused_matches_bigint(
+        scenario.netlist, scenario.testbench, scenario.faults[lo:hi]
     )
-    assert digests == {reference.outcome_digest()}
 
 
 def test_short_golden_is_rejected_before_the_kernel_runs():
