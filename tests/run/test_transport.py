@@ -284,6 +284,29 @@ class TestLocalPoolTransport:
         assert sorted(record.index for record in records) == list(range(5))
         assert all(record.worker == "pool:2" for record in records)
 
+    def test_children_run_the_single_threaded_kernel(self):
+        """Pool children load the same kernel as the parent, one thread
+        per call; parallelism is the pool's, and outcomes match serial."""
+        from repro.sim.backends._native import native_kernel
+
+        if native_kernel() is None:
+            pytest.skip("native kernel unavailable")
+        spec = CampaignSpec(circuit="b04", technique="mask_scan")
+        serial = CampaignRunner(workers=1).grade(spec)
+        with CampaignRunner(workers=2, shards=4) as runner:
+            pooled = runner.grade(spec)
+            pool = runner._ensure_transport()._pool
+            widths = {pool.submit(_kernel_width).result() for _ in range(4)}
+        assert widths == {1}
+        assert pooled.outcome_digest() == serial.outcome_digest()
+
+
+def _kernel_width() -> int:
+    """Threads per native kernel call in the calling process."""
+    from repro.sim.backends._native import native_kernel
+
+    return native_kernel().threads
+
 
 # ----------------------------------------------------------------------
 # store provenance fields

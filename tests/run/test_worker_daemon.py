@@ -222,6 +222,21 @@ class TestDigestNegotiation:
         assert "digest_hits" in status and "shards_graded" in status
         assert status["rtt_ms"] >= 0
 
+    def test_workers_ping_table_names_the_kernel(self, daemon, capsys):
+        from repro.run.cli import main
+        from repro.sim.backends._native import native_kernel
+
+        _, address = daemon
+        assert main(["workers", "ping", "--hosts", address]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if address in line
+        )
+        kind = "native" if native_kernel() is not None else "python"
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        assert cells[:2] == [address, "up"]
+        assert cells[3] == kind
+
     def test_ping_dead_host(self):
         status = ping_host(("127.0.0.1", 1), timeout=0.5)
         assert status["alive"] is False

@@ -4,15 +4,19 @@
 grades can run at once on one compiled netlist, each a native kernel
 call on buffers of its own. Every scenario grades one b14 fault sample
 from four threads at once and requires each digest to equal the serial
-one, for every fault model family; another grades the runner's b14
-shard windows on four threads at once; a third grades while a second
-thread computes kernel golden traces on the same compiled netlist. All
-grading runs on worker threads joined with a timeout, so a deadlock
-fails the test instead of stalling the run.
+one, for every fault model family, both through the kernel and on the
+no-kernel path (``REPRO_FUSED_NATIVE=0``); another grades the runner's
+b14 shard windows on four threads at once; others grade two circuits
+at once, grade while a second thread computes kernel golden traces on
+the same compiled netlist, and resolve one fresh scalar golden trace
+from several threads through the disk layer. All grading runs on worker
+threads joined with a timeout, so a deadlock fails the test instead of
+stalling the run.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import time
@@ -25,10 +29,18 @@ from repro.faults.models import get_fault_model
 from repro.run import worker
 from repro.run.runner import CampaignRunner, plan_windows
 from repro.run.spec import CampaignSpec
+from repro.sim.backends import get_engine
 from repro.sim.backends._native import native_kernel
 from repro.sim.backends.fused import golden_trace
-from repro.sim.cache import compiled_for
+from repro.sim.cache import (
+    DISK_MIN_CYCLES,
+    clear_caches,
+    compiled_for,
+    golden_for,
+)
+from repro.sim.cycle import run_golden
 from repro.sim.parallel import grade_faults
+from repro.sim.vectors import random_testbench
 
 MODELS = ["seu", "stuck_at_1", "mbu:2", "intermittent:4:2"]
 CLIENTS = 4
@@ -44,6 +56,16 @@ def b14_scenario():
         circuit, PAPER_B14["stimulus_vectors"], seed=0
     )
     return circuit, bench
+
+
+@pytest.fixture(params=["native", "no_kernel"])
+def kernel_path(request, monkeypatch):
+    """Grade through the native kernel, or as with
+    ``REPRO_FUSED_NATIVE=0``: fused hands the grade to ``numpy`` and
+    golden traces come from the scalar ``run_golden``."""
+    if request.param == "no_kernel":
+        monkeypatch.setattr("repro.sim.backends.fused.native_kernel", lambda: None)
+    return request.param
 
 
 def run_concurrently(tasks) -> list:
@@ -81,7 +103,7 @@ def run_concurrently(tasks) -> list:
 
 
 @pytest.mark.parametrize("model_name", MODELS)
-def test_concurrent_grades_match_serial(b14_scenario, model_name):
+def test_concurrent_grades_match_serial(b14_scenario, model_name, kernel_path):
     circuit, bench = b14_scenario
     population = get_fault_model(model_name).population(
         circuit, bench.num_cycles
@@ -92,6 +114,8 @@ def test_concurrent_grades_match_serial(b14_scenario, model_name):
         return grade_faults(circuit, bench, faults).outcome_digest()
 
     (serial,) = run_concurrently([grade])
+    native = kernel_path == "native" and native_kernel() is not None
+    assert get_engine("fused").last_stats["native"] is native
     assert run_concurrently([grade] * CLIENTS) == [serial] * CLIENTS
 
 
@@ -116,6 +140,67 @@ def test_concurrent_shard_windows_match_serial():
     assert b"".join(record["vanish_cycles"] for record in records) == (
         serial.vanish_cycles.tobytes()
     )
+
+
+def test_two_circuits_graded_at_once(b14_scenario):
+    """Kernel calls share no state across netlists: b14 and b04 grades
+    on separate threads each equal their serial digest."""
+    b14, b14_bench = b14_scenario
+    b04 = CampaignSpec("b04", "mask_scan").scenario()
+    b14_faults = random.Random(19).sample(
+        get_fault_model("seu").population(b14, b14_bench.num_cycles), SAMPLE
+    )
+    tasks = [
+        lambda: grade_faults(b14, b14_bench, b14_faults).outcome_digest(),
+        lambda: grade_faults(
+            b04.netlist, b04.testbench, b04.faults
+        ).outcome_digest(),
+    ] * 2
+    serial = [task() for task in tasks[:2]] * 2
+    assert run_concurrently(tasks) == serial
+
+
+def test_scalar_golden_resolved_from_several_threads(
+    b14_scenario, tmp_path, monkeypatch
+):
+    """Without the kernel, golden_for runs ``run_golden`` and writes the
+    disk entry; threads resolving one fresh stimulus at once all get the
+    serial trace and leave one complete entry that a later run loads."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr("repro.sim.backends.fused.native_kernel", lambda: None)
+    circuit, _ = b14_scenario
+    compiled = compiled_for(circuit)
+    bench = random_testbench(circuit, 2 * DISK_MIN_CYCLES, seed=23)
+    expected = run_golden(compiled, bench)
+    clear_caches()
+    compiled = compiled_for(circuit)
+    try:
+        traces = run_concurrently(
+            [lambda: golden_for(compiled, bench)] * CLIENTS
+        )
+        assert all(
+            (trace.outputs, trace.states) == (expected.outputs, expected.states)
+            for trace in traces
+        )
+        stored = sorted(
+            name
+            for _, _, names in os.walk(tmp_path)
+            for name in names
+            if name.startswith("golden_")
+        )
+        assert stored == ["golden_outputs.npy", "golden_states.npy"]
+        clear_caches()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("golden recomputed instead of loaded")
+
+        monkeypatch.setattr("repro.sim.cache.run_golden", boom)
+        loaded = golden_for(compiled_for(circuit), bench)
+        assert (loaded.outputs, loaded.states) == (
+            expected.outputs, expected.states,
+        )
+    finally:
+        clear_caches()
 
 
 @pytest.mark.skipif(native_kernel() is None, reason="native kernel unavailable")

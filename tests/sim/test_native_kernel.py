@@ -62,6 +62,20 @@ def test_wide_population_bit_exact_vs_python_engines(seed):
         assert list(fused.vanish_cycles) == list(reference.vanish_cycles), reference_backend
 
 
+def test_every_call_runs_on_the_callers_thread():
+    """The kernel has no width to set: ``threads`` is the constant 1 that
+    benchmark fingerprints record, and a grade reports no width."""
+    kernel = native_kernel()
+    if kernel is None:
+        pytest.skip("native kernel unavailable")
+    assert kernel.threads == 1
+    assert not hasattr(kernel, "set_threads")
+    netlist, bench, faults = _wide_scenario(5)
+    stats = _fused_matches_bigint(netlist, bench, faults)
+    assert stats["native"] is True
+    assert "threads" not in stats
+
+
 def test_compaction_reported_and_exact_on_b14_sample():
     """A campaign long enough to retire lanes mid-flight compacts them
     (visible in last_stats) without perturbing a single verdict."""
