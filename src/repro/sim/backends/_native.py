@@ -4,24 +4,29 @@ A small C library, compiled lazily with the system C compiler on first
 use, that runs the fused engine's per-cycle simulation for every fault
 model. It provides these entry points:
 
-``repro_grade_cycle``
-    One full emulation cycle — input drive, the 2-input op program,
-    output compare, state latch and compare — over the active column
-    range ``[w_start, w_stop)``. Every inner loop is restrict-qualified
-    so ``-O3 -march=native`` auto-vectorizes it into full-width SIMD
-    (AVX2/AVX-512 where available, NEON on arm); the portable ``-O2``
-    fallback build runs the same scalar C. The golden trace and the
-    non-SEU fault models call it once per cycle.
-
-``repro_grade_seu``
-    A whole plain-SEU grade in one call: per cycle it seeds the newly
-    injected lanes from the golden state and flips their bits, runs
-    the cycle through the same column loop as ``repro_grade_cycle``,
-    records fail and vanish cycles by walking the per-word diffs bit by
-    bit, and squeezes re-converged lanes out of every flop row with a
+``repro_grade``
+    A whole grade in one call, for every fault model. Per cycle it
+    seeds the newly activated lanes from the golden state, applies the
+    injection schedule's flips and force transitions at the lanes'
+    packed positions (re-applying a persistent schedule's force planes
+    to the held state), runs the cycle — input drive, the 2-input op
+    program, output compare, state latch and compare — and records
+    fail and vanish cycles by walking the per-word diffs bit by bit.
+    Every inner loop is restrict-qualified so ``-O3 -march=native``
+    auto-vectorizes it into full-width SIMD (AVX2/AVX-512 where
+    available, NEON on arm); the portable ``-O2`` fallback build runs
+    the same scalar C. Transient schedules (SEU, MBU) retire lanes at
+    their first golden match, squeeze them out of every flop row with a
     PEXT compactor (BMI2 where available) so later cycles stream only
-    live lanes. It stops once every fault has been injected and
-    vanished, and returns the cycles executed and the repack count.
+    live lanes, and stop once every fault has been injected and
+    vanished. Persistent ones (stuck-at, intermittent) run every lane
+    to the end and report the final golden-equal suffix. It returns the
+    cycles executed and the repack count.
+
+``repro_grade_cycle``
+    One emulation cycle over the column range ``[w_start, w_stop)``,
+    through the same column loop; the golden trace calls it once per
+    cycle.
 
 Every call runs on the thread that made it, takes no lock and touches
 only the buffers its caller passed in, so independent grades run
@@ -221,7 +226,7 @@ static long compact_rows(
 }
 
 /* ------------------------------------------------------------------ */
-/* a whole plain-SEU grade                                             */
+/* a whole grade                                                       */
 /* ------------------------------------------------------------------ */
 
 /* Lanes [0, n) of a 64-lane word, n clamped to [0, 64]. */
@@ -230,35 +235,121 @@ static inline uint64_t lanes_below(long n)
     return n <= 0 ? 0 : n >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
 }
 
-/* Grade single-bit flips, one lane per fault, in one call. Sorted by
- * injection cycle, lanes [bounds[t], bounds[t+1]) flip q row lane_q[i]
- * at cycle t and report into fail/vanish[order[i]] (filled with -1).
- * Lanes take packed positions as they are injected; once 1/16 of them
- * (and at least 64) have re-converged, the live bits of every q row are
- * squeezed to the front, and lane_map (packed position -> fault index)
- * follows. Mask rows are contiguous, one per cycle (state: one per
- * cycle boundary). Returns the cycles executed, -1 if out of memory. */
-long repro_grade_seu(
+/* Apply event rows [e, stop) at their lanes' packed positions (pos_of:
+ * fault -> position + 1, 0 for a lane that has not activated: only the
+ * post-bench events of a lane activating at num_cycles). FLIP xors the
+ * q bit; FORCE0/FORCE1 add the bit to the force planes and RELEASE
+ * drops it, as the reference engines do. Transient schedules have no
+ * planes. */
+static void apply_events(
+    uint64_t *values, long width, long q_start, const int64_t *pos_of,
+    const int64_t *flop, const int64_t *lane, const uint8_t *op,
+    long e, long stop, uint64_t *force_mask, uint64_t *force_set)
+{
+    for (; e < stop; e++) {
+        long p = pos_of[lane[e]] - 1;
+        if (p < 0) continue;
+        long at = flop[e] * width + (p >> 6);
+        uint64_t bit = (uint64_t)1 << (p & 63);
+        switch (op[e]) {
+        case 0: values[(q_start + flop[e]) * width + (p >> 6)] ^= bit; break;
+        case 3:
+            if (force_mask) { force_mask[at] &= ~bit; force_set[at] &= ~bit; }
+            break;
+        default:
+            if (force_mask) {
+                force_mask[at] |= bit;
+                if (op[e] == 2) force_set[at] |= bit;
+            }
+        }
+    }
+}
+
+/* A persistent schedule's held state, before `cycle` runs (or after the
+ * bench, cycle = num_cycles): force the q bits of columns [0, n_act),
+ * then track the final golden-equal suffix of lanes [0, held). A lane
+ * that matches golden becomes a candidate with vanish = cycle - 1; a
+ * candidate that differs again goes back to -1. not_vanished marks the
+ * lanes that are not candidates; diff is scratch. */
+static void hold_forced(
+    uint64_t *values, long width, long q_start, long n_ff,
+    const uint64_t *force_mask, const uint64_t *force_set,
+    const uint64_t *golden, long n_act, long held, long cycle,
+    uint64_t *diff, uint64_t *not_vanished, const int64_t *lane_map,
+    int32_t *vanish)
+{
+    for (long w = 0; w < n_act; w++) diff[w] = 0;
+    for (long f = 0; f < n_ff; f++) {
+        uint64_t *restrict q = values + (q_start + f) * width;
+        const uint64_t *restrict m = force_mask + f * width;
+        const uint64_t *restrict s = force_set + f * width;
+        uint64_t g = golden[f];
+        for (long w = 0; w < n_act; w++) {
+            uint64_t v = (q[w] & ~m[w]) | s[w];
+            q[w] = v;
+            diff[w] |= v ^ g;
+        }
+    }
+    for (long w = 0; w < n_act; w++) {
+        uint64_t active = lanes_below(held - (w << 6));
+        uint64_t newly = ~diff[w] & active & not_vanished[w];
+        uint64_t lost = diff[w] & active & ~not_vanished[w];
+        for (uint64_t b = newly; b; b &= b - 1)
+            vanish[lane_map[(w << 6) + __builtin_ctzll(b)]] = (int32_t)(cycle - 1);
+        for (uint64_t b = lost; b; b &= b - 1)
+            vanish[lane_map[(w << 6) + __builtin_ctzll(b)]] = -1;
+        not_vanished[w] ^= newly | lost;
+    }
+}
+
+/* Grade one fault per lane over the whole bench in one call; fail and
+ * vanish (fault order) come in filled with -1.
+ *
+ * Sorted by activation cycle, lanes [bounds[t], bounds[t+1]) of `order`
+ * (fault indices) activate at cycle t: they take the next packed
+ * positions, seeded with that cycle's golden state, and lane_map
+ * (packed position -> fault) records them. Then event rows
+ * [ev_at[t], ev_at[t+1]) act on the state held during cycle t; rows
+ * [ev_at[num_cycles], ev_at[num_cycles+1]) on the post-bench state.
+ *
+ * A transient schedule's lane vanishes at its first golden match and
+ * retires; once 1/16 of the packed lanes (and at least 64) have, the
+ * live bits of every q row are squeezed to the front by the PEXT
+ * compactor and lane_map follows (pos_of does not: all of a transient
+ * lane's events fall on its activation cycle, before any repack moves
+ * it). The loop stops once every lane has activated and retired.
+ * A persistent schedule re-applies its force planes to the held state
+ * every cycle; its lanes never retire, and vanish is the start of the
+ * final golden-equal suffix of the forced state, post-bench included.
+ *
+ * Mask rows are contiguous, one per cycle (state: one per cycle
+ * boundary). Returns the cycles executed, -1 if out of memory. */
+long repro_grade(
     uint64_t *values, long width, const uint64_t *in_masks,
     const uint64_t *out_masks, const uint64_t *state_masks,
     const int32_t *ops, long nops, long n_in,
     const int32_t *out_slots, long n_out, const int32_t *d_slots, long n_ff,
     long q_start, long num_cycles, long num_faults,
-    const int64_t *bounds, const int64_t *lane_q, const int64_t *order,
+    const int64_t *bounds, const int64_t *order,
+    const int64_t *ev_at, const int64_t *ev_flop, const int64_t *ev_lane,
+    const uint8_t *ev_op, long persistent,
     int32_t *fail, int32_t *vanish, long *repacks)
 {
-    /* out_diff, state_diff, not_failed, not_vanished, lane_map, then D
-     * scratch */
+    /* out_diff, state_diff, not_failed, not_vanished, lane_map, pos_of,
+     * D scratch, then (persistent only) the force mask and set planes */
     long words = width + 1;
-    uint64_t *scratch = calloc((68 + n_ff) * words, 8);
+    uint64_t *scratch = calloc((132 + (persistent ? 3 : 1) * n_ff) * words, 8);
     if (!scratch) return -1;
     uint64_t *not_failed = scratch + 2 * words;
     uint64_t *not_vanished = scratch + 3 * words;
     int64_t *lane_map = (int64_t *)(scratch + 4 * words);
+    int64_t *pos_of = (int64_t *)(scratch + 68 * words);
+    uint64_t *force_mask = persistent ? scratch + (132 + n_ff) * words : 0;
+    uint64_t *force_set = force_mask ? force_mask + n_ff * words : 0;
     struct gc_args A = {
         values, width, 0, 0, ops, nops, 0, n_in,
         out_slots, 0, n_out, scratch, d_slots, 0,
-        n_ff, q_start, scratch + words, scratch + 68 * words,
+        n_ff, q_start, scratch + words, scratch + 132 * words,
     };
     long packed = 0;   /* packed positions in use */
     long live = 0;     /* unresolved lanes among them */
@@ -267,11 +358,11 @@ long repro_grade_seu(
     *repacks = 0;
 
     for (long cycle = 0; cycle < num_cycles; cycle++) {
+        long held = packed;
         long first = bounds[cycle], last = bounds[cycle + 1];
         if (last > first) {
-            /* Seed the new positions with this cycle's golden state
-             * (mask-merged: boundary words may hold live lanes), then
-             * flip each injected flop bit. */
+            /* Seed the new positions with this cycle's golden state,
+             * mask-merged: boundary words may hold live lanes. */
             long top = packed + last - first;
             const uint64_t *golden = state_masks + cycle * n_ff;
             n_act = (top + 63) >> 6;
@@ -286,9 +377,8 @@ long repro_grade_seu(
                 not_vanished[w] |= fresh;
             }
             for (long i = first; i < last; i++, packed++) {
-                values[lane_q[i] * width + (packed >> 6)] ^=
-                    (uint64_t)1 << (packed & 63);
                 lane_map[packed] = order[i];
+                pos_of[order[i]] = packed + 1;
             }
             live += last - first;
         }
@@ -300,6 +390,12 @@ long repro_grade_seu(
             continue;
         }
         executed = cycle + 1;
+        apply_events(values, width, q_start, pos_of, ev_flop, ev_lane, ev_op,
+                     ev_at[cycle], ev_at[cycle + 1], force_mask, force_set);
+        if (persistent)
+            hold_forced(values, width, q_start, n_ff, force_mask, force_set,
+                        state_masks + cycle * n_ff, n_act, held, cycle,
+                        A.state_diff, not_vanished, lane_map, vanish);
 
         A.w_stop = n_act;
         A.in_mask = in_masks + cycle * n_in;
@@ -309,18 +405,20 @@ long repro_grade_seu(
 
         for (long w = 0; w < n_act; w++) {
             uint64_t failed = A.out_diff[w] & not_failed[w];
-            uint64_t vanished = ~A.state_diff[w] & not_vanished[w];
+            uint64_t vanished =
+                persistent ? 0 : ~A.state_diff[w] & not_vanished[w];
             for (uint64_t b = failed; b; b &= b - 1)
                 fail[lane_map[(w << 6) + __builtin_ctzll(b)]] = (int32_t)cycle;
             for (uint64_t b = vanished; b; b &= b - 1)
                 vanish[lane_map[(w << 6) + __builtin_ctzll(b)]] = (int32_t)cycle;
-            /* A vanished lane tracks golden forever, so it can never
-             * fail later: clearing it keeps its (now possibly stale)
-             * bits inert through skipped cycles and repacks. */
+            /* A vanished transient lane tracks golden forever, so it can
+             * never fail later: clearing it keeps its (now possibly
+             * stale) bits inert through skipped cycles and repacks. */
             not_failed[w] &= ~(failed | vanished);
             not_vanished[w] &= ~vanished;
             live -= __builtin_popcountll(vanished);
         }
+        if (persistent) continue;
         if (live == 0 && last == num_faults) break;
 
         long dead = packed - live;
@@ -342,6 +440,14 @@ long repro_grade_seu(
             ++*repacks;
         }
     }
+    if (persistent && packed) {
+        apply_events(values, width, q_start, pos_of, ev_flop, ev_lane, ev_op,
+                     ev_at[num_cycles], ev_at[num_cycles + 1],
+                     force_mask, force_set);
+        hold_forced(values, width, q_start, n_ff, force_mask, force_set,
+                    state_masks + num_cycles * n_ff, n_act, packed,
+                    num_cycles, A.state_diff, not_vanished, lane_map, vanish);
+    }
     free(scratch);
     return executed;
 }
@@ -354,7 +460,7 @@ _KERNEL = None
 class NativeKernel:
     """ctypes bindings to the compiled kernel."""
 
-    __slots__ = ("grade_cycle", "grade_seu")
+    __slots__ = ("grade", "grade_cycle")
 
     #: threads per call: always the caller's own (benchmark fingerprints
     #: record it)
@@ -377,15 +483,16 @@ class NativeKernel:
         ]
 
         # ndpointer checks dtype and contiguity: the loop indexes raw rows
-        u64, i64, i32 = (
+        u64, i64, i32, u8 = (
             np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-            for dtype in (np.uint64, np.int64, np.int32)
+            for dtype in (np.uint64, np.int64, np.int32, np.uint8)
         )
-        self.grade_seu = library.repro_grade_seu
-        self.grade_seu.restype = longs
-        self.grade_seu.argtypes = [  # as repro_grade_seu's parameters
+        self.grade = library.repro_grade
+        self.grade.restype = longs
+        self.grade.argtypes = [  # as repro_grade's parameters
             u64, longs, u64, u64, u64, i32, longs, longs, i32, longs,
-            i32, longs, longs, longs, longs, i64, i64, i64,
+            i32, longs, longs, longs, longs, i64, i64,
+            i64, i64, i64, u8, longs,
             i32, i32, ctypes.POINTER(longs),
         ]
 

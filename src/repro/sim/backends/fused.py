@@ -4,8 +4,8 @@ This is the default oracle backend. Every fault model grades through a
 lazily compiled C kernel (:mod:`repro.sim.backends._native`) that runs
 an emulation cycle (input drive, the op program, output compare, state
 latch and compare) by streaming each op over the active word columns.
-A plain-SEU grade is one kernel call for all cycles; the golden trace
-and other fault models call it once a cycle, bookkeeping in numpy:
+A grade is one kernel call for all cycles, whatever the fault model;
+the golden trace calls it once a cycle:
 
 * **Compilation** — the levelized op program is lowered once per netlist
   into a flat ``(code, a, b, c, out)`` table: buffers alias away, gates
@@ -18,17 +18,20 @@ and other fault models call it once a cycle, bookkeeping in numpy:
   row 0 or ~0). Each grade expands the golden words into uint64 mask
   rows with one ``np.unpackbits``, so per-cycle compares are one XOR
   and an OR-reduction over the active words.
-* **Dead lanes and dead cycles** (plain SEU lists) — fault lanes are
-  (stably) sorted by injection cycle; inside one ``repro_grade_seu``
-  call they are packed as they are injected, their fail and vanish
-  cycles are read off the per-word diffs bit by bit, and the kernel's
-  PEXT compactor squeezes them together once enough have re-converged,
-  so it only streams live lanes. When every injected fault has vanished
-  and no injections remain, the cycle loop exits early — resolved
-  campaigns do not pay for the tail of the testbench.
-* **Other fault models** — :class:`~repro.sim.inject.WordInjector`
-  applies the columnar schedule's flips and force bit-planes to the q
-  rows; the kernel then simulates each cycle at full lane width.
+* **Injection** — the columnar schedule
+  (:func:`~repro.sim.inject.schedule_for`; plain SEU lists get one flip
+  per fault) is applied inside the call at each lane's packed position:
+  flips XOR the q rows, and a persistent schedule's force bit-planes are
+  re-imposed on the held state every cycle.
+* **Dead lanes and dead cycles** (transient models: SEU, MBU) — fault
+  lanes are (stably) sorted by injection cycle and packed as they are
+  injected, their fail and vanish cycles are read off the per-word
+  diffs bit by bit, and the kernel's PEXT compactor squeezes them
+  together once enough have re-converged, so it only streams live
+  lanes. When every injected fault has vanished and no injections
+  remain, the cycle loop exits early — resolved campaigns do not pay
+  for the tail of the testbench. Persistent lanes (stuck-at,
+  intermittent) can re-diverge, so they run to the end of the bench.
 
 Each grade allocates its own value array and scratch, so concurrent
 grades on one compiled netlist share only read-only tables. Without the
@@ -47,11 +50,11 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.faults.model import SeuFault, fault_columns
+from repro.faults.model import SeuFault
 from repro.sim.backends import numpy_engine as _numpy_engine  # noqa: F401
 from repro.sim.backends._native import native_kernel
 from repro.sim.backends.base import GradingEngine, get_engine, register_engine
-from repro.sim.inject import WordInjector, schedule_for
+from repro.sim.inject import schedule_for
 from repro.sim.compile import (
     OP_AND,
     OP_BUF,
@@ -314,51 +317,6 @@ def _value_rows(program: FusedProgram, num_words: int) -> np.ndarray:
     return values
 
 
-def _bind_kernel(kernel, program: FusedProgram, num_words: int, masks: tuple):
-    """One grade's private buffers, bound to the C cycle kernel.
-
-    Returns ``(values, run, out_diff, state_diff)``: ``run(cycle, n_act)``
-    simulates ``cycle`` over word columns ``[0, n_act)`` of ``values``,
-    leaving the latched state in the q rows and the per-word golden
-    mismatch of the outputs and of the next state in ``out_diff`` and
-    ``state_diff``. Nothing here is cached, so concurrent grades on one
-    program share only its read-only tables.
-    """
-    values = _value_rows(program, num_words)
-    ops = np.ascontiguousarray(program.native_ops)
-    out_slots = program.output_slots.astype(np.int32)
-    d_slots = program.d_slots.astype(np.int32)
-    num_flops = len(d_slots)
-    out_diff = np.zeros(num_words, dtype=np.uint64)
-    state_diff = np.zeros(num_words, dtype=np.uint64)
-    d_scratch = np.empty(num_flops * num_words, dtype=np.uint64)
-    grade_cycle = kernel.grade_cycle
-    # Addresses are resolved once: ``.ctypes.data`` costs microseconds and
-    # ``run`` is called every cycle (a golden pass is all such one-word
-    # calls). Mask rows are contiguous, as _mask_rows makes them; the
-    # default argument keeps every addressed array alive.
-    buffers = (values, ops, out_slots, out_diff, d_slots, state_diff, d_scratch)
-    values_at, ops_at, out_at, out_diff_at, d_at, state_diff_at, scratch_at = (
-        array.ctypes.data for array in buffers
-    )
-    (in_row, in_step), (out_row, out_step), (state_row, state_step) = (
-        (rows.ctypes.data, rows.strides[0]) for rows in masks
-    )
-
-    def run(cycle: int, n_act: int, _alive=(buffers, masks)) -> None:
-        grade_cycle(
-            values_at, num_words, 0, n_act,
-            ops_at, len(ops),
-            in_row + cycle * in_step, program.num_inputs,
-            out_at, out_row + cycle * out_step, len(out_slots),
-            out_diff_at,
-            d_at, state_row + (cycle + 1) * state_step, num_flops,
-            program.q_start, state_diff_at, scratch_at,
-        )
-
-    return values, run, out_diff, state_diff
-
-
 def _pack_rows(rows: np.ndarray) -> List[int]:
     """Pack 0 / ~0 mask rows back into ints (bit i = column i)."""
     packed = np.packbits(rows, axis=1, bitorder="little")
@@ -372,7 +330,7 @@ def golden_trace(
 
     One word column whose 64 lanes all run the golden machine, reset as
     :func:`~repro.sim.cycle.run_golden` does; one kernel call per cycle,
-    its golden compares fed zero rows and ignored. Buffers are private
+    its golden compares fed a zero row and ignored. Buffers are private
     to the call, like a grade's.
     """
     kernel = native_kernel()
@@ -382,9 +340,20 @@ def golden_trace(
     num_cycles = testbench.num_cycles
     out_slots = program.output_slots
     num_flops = len(program.q_slots)
-    blank = np.zeros((num_cycles + 1, max(len(out_slots), num_flops)), np.uint64)
-    masks = (_mask_rows(testbench.vectors, program.num_inputs), blank, blank)
-    values, run_cycle, _, _ = _bind_kernel(kernel, program, 1, masks)
+    inputs = _mask_rows(testbench.vectors, program.num_inputs)
+    values = _value_rows(program, 1)
+    buffers = (
+        values, program.native_ops, out_slots.astype(np.int32),
+        np.zeros(max(len(out_slots), num_flops), np.uint64),  # golden rows
+        np.zeros(2, np.uint64),  # out_diff, state_diff
+        program.d_slots.astype(np.int32), np.empty(num_flops, np.uint64),
+    )
+    # Addresses are resolved once: ``.ctypes.data`` costs microseconds
+    # and the pass makes one call per cycle. Input rows are contiguous.
+    values_at, ops_at, out_at, blank_at, diff_at, d_at, scratch_at = (
+        array.ctypes.data for array in buffers
+    )
+    in_at, in_step = inputs.ctypes.data, inputs.strides[0]
     column = values[:, 0]
     q_rows = column[program.q_start : program.q_stop]
     q_rows[:] = _mask_rows([compiled.initial_state(x_as_zero=True)], num_flops)
@@ -392,7 +361,12 @@ def golden_trace(
     outputs = np.empty((num_cycles, len(out_slots)), dtype=np.uint64)
     for cycle in range(num_cycles):
         states[cycle] = q_rows
-        run_cycle(cycle, 1)
+        kernel.grade_cycle(
+            values_at, 1, 0, 1, ops_at, len(program.native_ops),
+            in_at + cycle * in_step, program.num_inputs,
+            out_at, blank_at, len(out_slots), diff_at,
+            d_at, blank_at, num_flops, program.q_start, diff_at + 8, scratch_at,
+        )
         np.take(column, out_slots, out=outputs[cycle])
     states[num_cycles] = q_rows
     # An output that is a flop Q (through an aliased buffer) reads a row
@@ -400,12 +374,6 @@ def golden_trace(
     held = (out_slots >= program.q_start) & (out_slots < program.q_stop)
     outputs[:, held] = states[:-1, out_slots[held] - program.q_start]
     return GoldenTrace(num_cycles, _pack_rows(outputs), _pack_rows(states))
-
-
-def _lanes_of(words: np.ndarray) -> np.ndarray:
-    """Indices of the set bits of a uint64 word vector (bit i of word w
-    is lane 64*w + i)."""
-    return np.nonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))[0]
 
 
 @register_engine
@@ -421,6 +389,17 @@ class FusedEngine(GradingEngine):
         faults: Sequence[SeuFault],
         golden: GoldenTrace,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """One native call (``repro_grade``) runs the whole cycle loop.
+
+        Lanes occupy *packed positions*: they append at the packed end
+        as they activate, and once enough transient lanes have
+        re-converged the kept bits of every flop row are squeezed to the
+        front by the PEXT compactor; a packed position -> fault index
+        map follows. On convergence-heavy campaigns this cuts the
+        streamed word columns by ~2x over a contiguous word window,
+        because a word column stays active while *any* of its 64 lanes
+        is unresolved.
+        """
         kernel = native_kernel()
         if kernel is None:
             fallback = get_engine("numpy")
@@ -430,151 +409,36 @@ class FusedEngine(GradingEngine):
 
         program = fused_program_for(compiled)
         num_cycles = testbench.num_cycles
-        schedule = schedule_for(faults, num_cycles, len(program.q_slots))
+        schedule = schedule_for(
+            faults, num_cycles, len(program.q_slots), seu_events=True
+        )
         masks = _masks_for(program, testbench, golden)
-        if schedule.simple:
-            fail_cycle, vanish_cycle, stats = self._grade_seu(
-                kernel, program, faults, masks, num_cycles
-            )
-        else:
-            fail_cycle, vanish_cycle, stats = self._grade_general(
-                kernel, program, masks, schedule, num_cycles
-            )
-        self.last_stats = {
-            "num_cycles": num_cycles,
-            "num_words": (len(faults) + 63) // 64,
-            "native": True,
-            **stats,
-        }
-        return fail_cycle, vanish_cycle
-
-    # ------------------------------------------------------------------
-    # plain SEU lists: a compacting packed lane window
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _grade_seu(
-        kernel,
-        program: FusedProgram,
-        faults: Sequence[SeuFault],
-        masks: tuple,
-        num_cycles: int,
-    ) -> tuple:
-        """Simulate only live lanes, repacking them as they resolve.
-
-        One native call (``repro_grade_seu``) runs the whole cycle loop.
-        Lanes occupy *packed positions*: injections append at the packed
-        end, and once enough lanes have re-converged the kept bits of
-        every flop row are squeezed to the front by the PEXT compactor;
-        a packed position -> fault index map follows. On convergence-
-        heavy campaigns this cuts the streamed word columns by ~2x over
-        a contiguous word window, because a word column stays active
-        while *any* of its 64 lanes is unresolved.
-        """
-        num_faults = len(faults)
-        cycles, flop_indices = fault_columns(faults)
-        order = np.argsort(cycles, kind="stable")
-        # the sorted lanes [bounds[t], bounds[t + 1]) inject at cycle t
-        bounds = np.searchsorted(cycles[order], np.arange(num_cycles + 1))
+        num_faults = schedule.num_faults
+        first_active = schedule.first_active
+        order = np.argsort(first_active, kind="stable")
+        # the sorted lanes [bounds[t], bounds[t + 1]) activate at cycle t
+        bounds = np.searchsorted(first_active[order], np.arange(num_cycles + 1))
         values = _value_rows(program, (num_faults + 63) // 64)
         fail_cycle = np.full(num_faults, -1, dtype=np.int32)
         vanish_cycle = np.full(num_faults, -1, dtype=np.int32)
         repacks = ctypes.c_long()
-        executed = kernel.grade_seu(
+        executed = kernel.grade(
             values, values.shape[1], *masks,
             program.native_ops, len(program.native_ops), program.num_inputs,
             program.output_slots.astype(np.int32), len(program.output_slots),
             program.d_slots.astype(np.int32), len(program.d_slots),
-            program.q_start, num_cycles, num_faults,
-            bounds, program.q_slots[flop_indices[order]], order,
-            fail_cycle, vanish_cycle, ctypes.byref(repacks),
+            program.q_start, num_cycles, num_faults, bounds, order,
+            schedule.offsets, schedule.flop, schedule.lane, schedule.op,
+            schedule.persistent, fail_cycle, vanish_cycle,
+            ctypes.byref(repacks),
         )
         if executed < 0:
-            raise MemoryError("the SEU kernel could not allocate its scratch")
-        stats = {"cycles_executed": executed, "repacks": repacks.value}
-        return fail_cycle, vanish_cycle, stats
-
-    # ------------------------------------------------------------------
-    # other fault models: multi-flop flips, per-cycle force
-    # re-application, final-suffix vanish semantics
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _grade_general(
-        kernel,
-        program: FusedProgram,
-        masks: tuple,
-        schedule,
-        num_cycles: int,
-    ) -> tuple:
-        """Full-width grading: columnar injection, one kernel call a cycle.
-
-        Persistent faults are incompatible with the SEU path's two core
-        optimizations — lane retirement (a forced lane can re-diverge)
-        and the one-shot injection XOR — so this branch runs every fault
-        lane through every cycle, re-applying the force bit-planes to the
-        held state each cycle, and tracks vanish as the start of the
-        final golden-equal suffix of the q rows. Transient (MBU)
-        schedules still early-exit once every lane has re-converged.
-        """
-        num_faults = schedule.num_faults
-        num_words = (num_faults + 63) // 64
-        num_flops = len(program.q_slots)
-        state_masks = masks[2]
-        values, run_cycle, out_diff, _ = _bind_kernel(
-            kernel, program, num_words, masks
-        )
-        q_view = values[program.q_start : program.q_stop]
-        q_view[:] = state_masks[0][:, None]
-        q_diff = np.empty((num_flops, num_words), dtype=np.uint64)
-
-        valid = np.full(num_words, _ONES, dtype=np.uint64)
-        if num_faults % 64:
-            valid[-1] = np.uint64((1 << (num_faults % 64)) - 1)
-
-        fail_cycle = np.full(num_faults, -1, dtype=np.int32)
-        vanish_cycle = np.full(num_faults, -1, dtype=np.int32)
-        injector = WordInjector(schedule, num_flops, num_words)
-        injected = injector.injected
-        not_failed = valid.copy()
-        no_candidate = valid.copy()
-
-        def update_vanish(cycle: int, end_cycle: int) -> None:
-            """Vanished-by-``end_cycle`` bookkeeping: compare the state
-            held during ``cycle`` against its golden counterpart."""
-            np.bitwise_xor(q_view, state_masks[cycle][:, None], out=q_diff)
-            state_diff = np.bitwise_or.reduce(q_diff, axis=0)
-            conv = ~state_diff & injected
-            newly = conv & no_candidate
-            if newly.any():
-                vanish_cycle[_lanes_of(newly)] = end_cycle
-                np.bitwise_and(no_candidate, ~newly, out=no_candidate)
-            lost = state_diff & injected & ~no_candidate
-            if lost.any():
-                vanish_cycle[_lanes_of(lost)] = -1
-                np.bitwise_or(no_candidate, lost, out=no_candidate)
-
-        for cycle in range(num_cycles):
-            injector.apply(cycle, q_view)
-            if cycle > 0:
-                update_vanish(cycle, cycle - 1)
-            injector.activate(cycle)
-
-            run_cycle(cycle, num_words)
-
-            newly_failed = out_diff & not_failed & injected
-            if newly_failed.any():
-                fail_cycle[_lanes_of(newly_failed)] = cycle
-                np.bitwise_and(not_failed, ~newly_failed, out=not_failed)
-
-            if (
-                not schedule.persistent
-                and cycle >= injector.last_activation
-                and not no_candidate.any()
-            ):
-                # Transient faults cannot re-diverge: every lane has
-                # converged and no injection remains, so fail/vanish are
-                # final — skip the tail (and the post-bench compare).
-                return fail_cycle, vanish_cycle, {"cycles_executed": cycle + 1}
-
-        injector.apply(num_cycles, q_view)
-        update_vanish(num_cycles, num_cycles - 1)
-        return fail_cycle, vanish_cycle, {"cycles_executed": num_cycles}
+            raise MemoryError("the grade kernel could not allocate its scratch")
+        self.last_stats = {
+            "num_cycles": num_cycles,
+            "num_words": values.shape[1],
+            "native": True,
+            "cycles_executed": executed,
+            "repacks": repacks.value,
+        }
+        return fail_cycle, vanish_cycle

@@ -132,6 +132,43 @@ def test_out_of_range_force_rejected():
         schedule_for([StuckAtFault(cycle=0, flop_index=4, value=1)], 4, 4)
 
 
+class _LateFlip(SeuFault):
+    """Transient, but its flip lands one cycle after its injection cycle."""
+
+    @classmethod
+    def injection_events(cls, cycles, flops, num_cycles):
+        lanes = np.arange(len(cycles))
+        return cycles + 1, flops, lanes, np.full(len(lanes), FLIP, np.uint8)
+
+
+class _EarlyForce(StuckAtFault):
+    """Persistent, but its force starts one cycle before its onset."""
+
+    @classmethod
+    def injection_events(cls, cycles, flops, num_cycles, *, value):
+        lanes = np.arange(len(cycles))
+        return cycles - 1, flops, lanes, np.full(len(lanes), FORCE1, np.uint8)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [[_LateFlip(cycle=2, flop_index=0)], [_EarlyForce(2, 0, value=1)]],
+    ids=["transient-late", "persistent-early"],
+)
+def test_events_outside_a_faults_active_cycles_are_refused(faults):
+    """The fused kernel seeds each lane at its injection cycle and may
+    repack a transient lane once that cycle is over."""
+    with pytest.raises(CampaignError, match="before its fault's injection"):
+        schedule_for(faults, 8, 4)
+
+
+def test_events_past_the_bench_sort_last():
+    faults = [SeuFault(cycle=70000, flop_index=1), SeuFault(cycle=3, flop_index=2)]
+    schedule = schedule_for(faults, 8, 4, seu_events=True)
+    assert list(schedule.offsets) == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
+    assert list(schedule.lane) == [1, 0]
+
+
 @pytest.mark.parametrize(
     "faults",
     [

@@ -3,17 +3,19 @@
 Every grading engine must agree with the bigint reference and with the
 serial generalized replay for every fault model — the same adversarial
 structure PR 1 established for SEUs, extended to multi-bit, stuck-at and
-intermittent injection. Also locks the engine-selection contract: plain
-SEU lists take the legacy fast path (early exit intact), generalized
-lists take the per-cycle-force branch.
+intermittent injection. Also locks the native grade's contract: every
+model is one kernel call, transient models (SEU, MBU) retire, repack and
+early-exit, persistent ones run every lane through the whole bench.
 """
 
 import random
 
 import pytest
 
+from repro.circuits.itc99.b14 import b14_program_testbench, build_b14
 from repro.faults.model import SeuFault
 from repro.faults.models import get_fault_model
+from repro.faults.sampling import sample_fault_list
 from repro.sim.backends import available_engines, get_engine
 from repro.sim.backends._native import native_kernel
 from repro.sim.cycle import replay_fault, run_golden
@@ -116,10 +118,11 @@ class TestCrossEngineEquivalence:
         assert list(fallback.fail_cycles) == list(native.fail_cycles)
         assert list(fallback.vanish_cycles) == list(native.vanish_cycles)
 
-    def test_word_boundary_lane_counts(self):
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_word_boundary_lane_counts(self, model_name):
         circuit = build_shift_register(6)
         bench = random_testbench(circuit, 24, seed=9)
-        population = get_fault_model("stuck_at_1").population(circuit, 24)
+        population = get_fault_model(model_name).population(circuit, 24)
         for count in (1, 63, 64, 65, 130):
             faults = population[:count]
             fused = grade_faults(circuit, bench, faults, backend="fused")
@@ -152,9 +155,9 @@ class TestEarlyExitContract:
         assert engine.last_stats["cycles_executed"] == 60
 
     def test_seu_keeps_the_legacy_fast_path(self):
-        """Plain SEU lists take the compacting fast path (it reports
-        ``repacks``); every other model grades through the same native
-        kernel, full width, whenever the kernel is available."""
+        """Every model grades through the one native call whenever the
+        kernel is available, and reports ``repacks``; persistent models
+        never retire a lane, so they never repack."""
         counter = build_counter()
         bench = random_testbench(counter, 12, seed=0)
         engine = get_engine("fused")
@@ -169,7 +172,23 @@ class TestEarlyExitContract:
             faults = model_fault_sample(model_name, counter, 12, rng, count=8)
             grade_faults(counter, bench, faults, backend="fused")
             assert engine.last_stats["native"] == has_kernel, model_name
-            assert "repacks" not in engine.last_stats, model_name
+            if has_kernel and not get_fault_model(model_name).transient:
+                assert engine.last_stats["repacks"] == 0, model_name
+
+    def test_mbu_lanes_repack_exactly(self):
+        """Multi-flip lanes retire and repack like SEU lanes; the squeezed
+        lanes keep every verdict bit-exact with the bigint reference."""
+        circuit = build_b14()
+        bench = b14_program_testbench(circuit, 160)
+        population = get_fault_model("mbu:2").population(circuit, 160)
+        faults = sample_fault_list(population, 1500, seed=1)
+        fused = grade_faults(circuit, bench, faults, backend="fused")
+        stats = get_engine("fused").last_stats
+        if not stats["native"]:
+            pytest.skip("native kernel unavailable")
+        assert stats["repacks"] > 0
+        bigint = grade_faults(circuit, bench, faults, backend="bigint")
+        assert fused.outcome_digest() == bigint.outcome_digest()
 
 
 class TestPersistentReconvergence:
