@@ -44,6 +44,15 @@ def _check_params(value: int, period: int, duty: int) -> None:
         raise CampaignError(f"intermittent duty must be in [1, period), got {duty}")
 
 
+def _periodic(onsets: np.ndarray, last: int, period: int):
+    """Lane and cycle of every ``onset + k * period`` up to ``last``,
+    lane-major."""
+    counts = np.maximum((last - onsets) // period + 1, 0)
+    lanes = np.repeat(np.arange(len(onsets)), counts)
+    nth = np.arange(len(lanes)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return lanes, onsets[lanes] + nth * period
+
+
 @dataclass(frozen=True, order=True)
 class IntermittentFault(SeuFault):
     """Force ``flop_index`` to ``value`` during cycles ``t >= cycle``
@@ -64,17 +73,21 @@ class IntermittentFault(SeuFault):
         cls, cycles, flops, num_cycles: int, *, value, period, duty
     ) -> Events:
         """A force-on every ``period`` cycles from onset, each released
-        ``duty`` cycles later; only events within ``0..num_cycles``."""
+        ``duty`` cycles later; only events within ``0..num_cycles``.
+
+        Every force-on of every lane comes first, then every release,
+        each lane-major; a lane's releases are its first force-ons that
+        still fit ``duty`` cycles before the bench ends.
+        """
         onsets = np.asarray(cycles, dtype=np.int64)
-        counts = np.maximum((num_cycles - onsets) // period + 1, 0)
-        lanes = np.repeat(np.arange(len(onsets)), counts)
-        nth = np.arange(len(lanes)) - np.repeat(np.cumsum(counts) - counts, counts)
-        starts = onsets[lanes] + nth * period
-        cycle = np.concatenate([starts, starts + duty])
-        lane = np.tile(lanes, 2)
-        op = np.repeat(np.array([FORCE0 + value, RELEASE], np.uint8), len(lanes))
-        keep = cycle <= num_cycles
-        return cycle[keep], flops[lane[keep]], lane[keep], op[keep]
+        on_lanes, on = _periodic(onsets, num_cycles, period)
+        off_lanes, off = _periodic(onsets, num_cycles - duty, period)
+        cycle = np.concatenate([on, off + duty])
+        lane = np.concatenate([on_lanes, off_lanes])
+        op = np.repeat(
+            np.array([FORCE0 + value, RELEASE], np.uint8), [len(on), len(off)]
+        )
+        return cycle, flops[lane], lane, op
 
     def flip_flops(self) -> Tuple[int, ...]:
         return ()

@@ -140,9 +140,6 @@ class CampaignRunner:
             between shards with every completed shard already
             checkpointed, which is how the campaign service cancels a
             running campaign without losing work.
-        mp_context: multiprocessing start method for the local pool;
-            defaults to ``fork`` where available (inherits warm
-            caches), else ``spawn``.
         transport: shard transport name (``serial``/``local``/``tcp``);
             default picks ``tcp`` when ``hosts`` is given, else
             ``local`` when ``workers >= 2``, else ``serial``.
@@ -160,7 +157,6 @@ class CampaignRunner:
         store_root: Optional[str] = None,
         resume: bool = True,
         progress: Optional[Callable[[str], None]] = None,
-        mp_context: Optional[str] = None,
         transport: Optional[str] = None,
         hosts=None,
         shard_timeout: Optional[float] = None,
@@ -174,7 +170,6 @@ class CampaignRunner:
         self.resume = resume
         self.progress = progress
         self.on_shard = on_shard
-        self.mp_context = mp_context
         self.hosts = hosts
         self.shard_timeout = shard_timeout
         self.transport_name = transport or (
@@ -199,7 +194,6 @@ class CampaignRunner:
             self._transport = create_transport(
                 self.transport_name,
                 workers=self.workers,
-                mp_context=self.mp_context,
                 hosts=self.hosts,
                 shard_timeout=self.shard_timeout,
             )
@@ -244,9 +238,8 @@ class CampaignRunner:
 
     def _graded(self, spec: CampaignSpec) -> Tuple[Scenario, FaultGradingResult]:
         # Prewarm before any pool exists: compiled plan, golden trace,
-        # fused program and native kernel land in the session caches
-        # (inherited by forked workers) and the disk artifact cache
-        # (shared with spawned or recycled workers).
+        # fused program and native kernel land in the session caches,
+        # which forked workers inherit.
         scenario = worker.prewarm(spec)
         windows = self.plan(spec)
         store = None

@@ -36,7 +36,6 @@ def _make_local(**options) -> ShardTransport:
 
     return LocalPoolTransport(
         workers=max(2, int(options.get("workers") or 2)),
-        mp_context=options.get("mp_context"),
         progress=options.get("progress"),
     )
 
@@ -83,7 +82,7 @@ def create_transport(name: str, **options) -> ShardTransport:
     """Instantiate a registered transport.
 
     ``options`` carries whatever the runner knows — ``workers``,
-    ``hosts``, ``shard_timeout``, ``mp_context``, ``progress`` — and
+    ``hosts``, ``shard_timeout``, ``progress`` — and
     each factory picks the fields it understands.
     """
     try:

@@ -9,13 +9,13 @@ its first shard of a repeat campaign without rebuilding anything.
 
 Artifacts arrive content-addressed. A netlist or stimulus payload is
 verified against its announced digest (self-certifying: the digest *is*
-the content hash), persisted to the worker's
-:class:`~repro.sim.cache.DiskArtifactCache` wire store, and reused for
-every later campaign that names the same digest — including after a
-daemon restart. A netlist is parsed once per digest and shared by every
-campaign on that circuit (a new seed only brings a new stimulus).
-Compiled plans and golden traces then flow through the ordinary
-two-layer artifact cache exactly as they do locally.
+the content hash), persisted to the worker's wire store
+(:func:`~repro.sim.cache.store_wire`), and reused for every later
+campaign that names the same digest — including after a daemon restart.
+A netlist is parsed once per digest and shared by every campaign on
+that circuit (a new seed only brings a new stimulus). Compiled plans
+and golden traces then come from the in-process session caches exactly
+as they do locally.
 
 While a slow scenario build or shard grade is in flight the daemon
 emits ``heartbeat`` frames every second, so the client can tell
@@ -39,7 +39,12 @@ from repro.netlist.textio import loads_netlist
 from repro.run import worker
 from repro.run.spec import Scenario, scenario_from_wire
 from repro.run.transport import wire
-from repro.sim.cache import disk_cache, evict_oldest, netlist_text_digest
+from repro.sim.cache import (
+    evict_oldest,
+    load_wire,
+    netlist_text_digest,
+    store_wire,
+)
 
 #: heartbeat cadence while a build/grade is in flight (seconds)
 HEARTBEAT_INTERVAL = 1.0
@@ -174,8 +179,7 @@ class WorkerDaemon:
         reads as a miss (the client re-ships it) instead of poisoning
         every later campaign that names the digest.
         """
-        disk = disk_cache()
-        payload = disk.load_wire(digest) if disk is not None else None
+        payload = load_wire(digest)
         if payload is None:
             return None
         try:
@@ -186,11 +190,6 @@ class WorkerDaemon:
         except (UnicodeDecodeError, wire.WireError):
             ok = False
         return payload if ok else None
-
-    def _store_artifact(self, digest: str, payload: bytes) -> None:
-        disk = disk_cache()
-        if disk is not None:
-            disk.store_wire(digest, payload)
 
     # ------------------------------------------------------------------
     # campaign negotiation
@@ -298,7 +297,7 @@ class WorkerDaemon:
                 f"unexpected artifact {kind!r} with digest {digest!r}"
             )
         blobs[kind] = blob
-        self._store_artifact(digest, blob)
+        store_wire(digest, blob)
         with self._state_lock:
             self.stats["artifact_bytes_received"] += len(blob)
         if {"netlist", "stimulus"} <= set(blobs):

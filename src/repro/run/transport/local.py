@@ -63,13 +63,11 @@ class LocalPoolTransport(ShardTransport):
     def __init__(
         self,
         workers: int,
-        mp_context: Optional[str] = None,
         progress: Optional[Callable[[str], None]] = None,
     ):
         if workers < 2:
             raise CampaignError("the local pool transport needs >= 2 workers")
         self.workers = int(workers)
-        self.mp_context = mp_context
         self.progress = progress
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -85,16 +83,16 @@ class LocalPoolTransport(ShardTransport):
         inherit every session cache.
         """
         if self._pool is None:
-            start_method = self.mp_context or (
+            # fork inherits the prewarmed caches; spawn where it is missing
+            start_method = (
                 "fork"
                 if "fork" in multiprocessing.get_all_start_methods()
                 else "spawn"
             )
-            context = multiprocessing.get_context(start_method)
             package_root = os.path.dirname(os.path.dirname(repro.__file__))
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
+                self.workers,
+                multiprocessing.get_context(start_method),
                 initializer=worker.worker_init,
                 initargs=(package_root,),
             )

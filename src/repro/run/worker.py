@@ -52,12 +52,10 @@ def prewarm(spec: CampaignSpec) -> Scenario:
     """Materialize every grading artifact the spec's campaign needs.
 
     Beyond resolving the scenario, this compiles the netlist, runs the
-    golden trace, lowers the fused program and builds the native kernel
-    — populating the session caches *and*, for campaign-scale circuits,
-    the on-disk artifact cache. The runner calls it once before fanning
-    out: forked workers inherit the warm memos directly, spawned (or
-    later-recycled) workers hit the disk artifacts instead of
-    re-deriving everything per process.
+    golden trace, lowers the fused program and builds the native kernel,
+    populating the session caches. The runner calls it once before
+    fanning out, so forked workers inherit the warm memos; spawned (or
+    later-recycled) workers rebuild them on their first shard.
     """
     scenario = scenario_for(spec)
     prewarm_scenario(scenario)

@@ -1,4 +1,4 @@
-"""Simulation artifact caches: per-session and process-shared on disk.
+"""Simulation artifact caches: per-process memos and the daemon's wire store.
 
 Every experiment in the repo grades the same circuit/testbench pair
 several times (Table 2, the classification split, the speed comparison,
@@ -6,8 +6,6 @@ then any campaign a caller runs on top). Compiling the netlist and
 re-running the golden trace each time is pure waste: both depend only on
 the netlist (and, for the trace, the stimulus), not on the fault list or
 the technique.
-
-Two layers share one key space:
 
 * **Session caches** — :func:`compiled_for` and :func:`golden_for`
   memoize per process, keyed by *content digests*: the netlist's
@@ -23,32 +21,27 @@ Two layers share one key space:
   circuit once per process and hands the same object to every campaign
   on it, and the TCP worker daemon reuses one parsed netlist per digest
   — so every transform builds a new netlist instead of editing one.
-* **Disk cache** — :class:`DiskArtifactCache` persists compiled plans
-  and golden traces under a content-keyed directory tree (netlist digest
-  x stimulus digest), so pool workers and repeated runs skip the warmup
-  instead of re-deriving it per process. Golden traces go to disk only
-  without the native kernel: its golden pass takes a few milliseconds
-  on b14, about what a load saves, and storing every fresh stimulus
-  would grow the tree without bound. Golden traces are stored as
-  ``.npy`` byte matrices and opened read-only with ``mmap``; every
-  payload carries a SHA-256 in a sidecar ``meta.json`` and a corrupted
-  or truncated entry is silently rebuilt, never trusted. Artifacts
-  below :data:`DISK_MIN_CYCLES` / :data:`DISK_MIN_FLOPS` stay
-  session-only — the disk layer exists for campaign-scale circuits, not
-  for the thousands of tiny randomized netlists the test suite makes.
+* **Wire store** — :func:`load_wire` / :func:`store_wire` keep the raw
+  payloads the TCP worker daemon received (netlist text, packed
+  stimulus) on disk as ``<root>/wire/<d[:2]>/<d>``, named by the digest
+  they were announced under, so a restarted daemon answers "have it"
+  for any campaign it was ever shipped.
+
+Compiled plans and golden traces stay in memory: compiling b14 takes
+~2.6 ms on a 2-vCPU x86 host, no more than reading a stored plan back,
+and its golden trace is one kernel pass (~37 ms on the scalar path).
+Forked pool workers inherit the runner's warm memos; spawned ones
+rebuild them.
 
 ``REPRO_CACHE_DIR`` overrides the cache root (default
-``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``); ``REPRO_DISK_CACHE=0``
-disables the disk layer entirely. :func:`clear_caches` drops the
-session layer only.
+``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``). :func:`clear_caches`
+drops the session layer only.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import pickle
 import tempfile
 from typing import Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
@@ -60,12 +53,8 @@ from repro.sim.compile import CompiledNetlist, compile_netlist
 from repro.sim.cycle import GoldenTrace, run_golden
 from repro.sim.vectors import Testbench
 
-#: bump to invalidate every persisted artifact (format or semantics change)
+#: schema prefix of every netlist digest (wire digests must match peers)
 CACHE_SCHEMA = 1
-
-#: disk-layer thresholds: smaller scenarios stay session-only
-DISK_MIN_CYCLES = 32
-DISK_MIN_FLOPS = 8
 
 #: session bounds (entries, oldest evicted first)
 _MAX_COMPILED = 64
@@ -105,34 +94,8 @@ def evict_oldest(cache: Dict, bound: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# disk layer
+# wire store
 # ----------------------------------------------------------------------
-
-
-def _ints_to_matrix(words, row_bytes: int) -> "np.ndarray":  # noqa: F821
-    import numpy as np
-
-    matrix = np.empty((len(words), row_bytes), dtype=np.uint8)
-    for index, word in enumerate(words):
-        matrix[index] = np.frombuffer(
-            word.to_bytes(row_bytes, "little"), dtype=np.uint8
-        )
-    return matrix
-
-
-def _matrix_to_ints(matrix) -> list:
-    return [
-        int.from_bytes(matrix[index].tobytes(), "little")
-        for index in range(matrix.shape[0])
-    ]
-
-
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
@@ -151,171 +114,12 @@ def _atomic_write(path: str, payload: bytes) -> None:
         raise
 
 
-class DiskArtifactCache:
-    """Content-keyed on-disk store for compiled plans and golden traces.
-
-    Layout (under ``root``)::
-
-        <nd[:2]>/<nd>/compiled.pkl + compiled.meta.json
-        <nd[:2]>/<nd>/<sd>/golden_{outputs,states}.npy + meta.json
-        wire/<d[:2]>/<d>                      (content-addressed payloads)
-
-    where ``nd`` is the netlist digest and ``sd`` the stimulus digest.
-    The ``wire/`` namespace holds raw payloads the TCP worker daemon
-    received (netlist text, packed stimulus), keyed by the digest they
-    were announced under — a restarted worker answers "have it" for any
-    campaign it has ever been shipped.
-    Loads verify payload SHA-256s against the sidecar metadata and
-    return ``None`` on any mismatch, unreadable file or schema change —
-    callers then rebuild and overwrite. Writes are atomic
-    (write-to-temp + rename), so concurrent workers never observe torn
-    artifacts; last writer wins with identical content.
-    """
-
-    def __init__(self, root: str):
-        self.root = root
-
-    # -- paths ---------------------------------------------------------
-    def _netlist_dir(self, nd: str) -> str:
-        return os.path.join(self.root, nd[:2], nd)
-
-    def _golden_dir(self, nd: str, sd: str) -> str:
-        return os.path.join(self._netlist_dir(nd), sd)
-
-    # -- golden traces -------------------------------------------------
-    def load_golden(self, nd: str, sd: str) -> Optional[GoldenTrace]:
-        """The stored golden trace, or None when absent/corrupt."""
-        import numpy as np
-
-        directory = self._golden_dir(nd, sd)
-        meta_path = os.path.join(directory, "meta.json")
-        try:
-            with open(meta_path) as handle:
-                meta = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if meta.get("schema") != CACHE_SCHEMA:
-            return None
-        try:
-            trace = GoldenTrace(num_cycles=int(meta["num_cycles"]))
-            for name, target in (("outputs", trace.outputs),
-                                 ("states", trace.states)):
-                path = os.path.join(directory, f"golden_{name}.npy")
-                if _sha256_file(path) != meta[f"{name}_sha256"]:
-                    return None
-                matrix = np.load(path, mmap_mode="r")
-                target.extend(_matrix_to_ints(matrix))
-            if (
-                len(trace.outputs) != trace.num_cycles
-                or len(trace.states) != trace.num_cycles + 1
-            ):
-                return None
-            return trace
-        except (OSError, ValueError, KeyError):
-            return None
-
-    def store_golden(self, nd: str, sd: str, golden: GoldenTrace) -> None:
-        """Persist a golden trace; failures are silently ignored."""
-        import io
-
-        import numpy as np
-
-        directory = self._golden_dir(nd, sd)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            meta = {"schema": CACHE_SCHEMA, "num_cycles": golden.num_cycles}
-            for name, words in (("outputs", golden.outputs),
-                                ("states", golden.states)):
-                row_bytes = max(
-                    1, (max(words, default=0).bit_length() + 7) // 8
-                )
-                buffer = io.BytesIO()
-                np.save(buffer, _ints_to_matrix(words, row_bytes))
-                payload = buffer.getvalue()
-                meta[f"{name}_sha256"] = hashlib.sha256(payload).hexdigest()
-                _atomic_write(
-                    os.path.join(directory, f"golden_{name}.npy"), payload
-                )
-            _atomic_write(
-                os.path.join(directory, "meta.json"),
-                json.dumps(meta, indent=2).encode(),
-            )
-        except OSError:
-            pass
-
-    # -- compiled plans ------------------------------------------------
-    def load_compiled(self, nd: str) -> Optional[CompiledNetlist]:
-        """The stored compiled plan, or None when absent/corrupt."""
-        directory = self._netlist_dir(nd)
-        meta_path = os.path.join(directory, "compiled.meta.json")
-        pkl_path = os.path.join(directory, "compiled.pkl")
-        try:
-            with open(meta_path) as handle:
-                meta = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if meta.get("schema") != CACHE_SCHEMA:
-            return None
-        try:
-            if _sha256_file(pkl_path) != meta["sha256"]:
-                return None
-            with open(pkl_path, "rb") as handle:
-                compiled = pickle.load(handle)
-        except (OSError, ValueError, KeyError, pickle.UnpicklingError,
-                AttributeError, ImportError):
-            return None
-        return compiled if isinstance(compiled, CompiledNetlist) else None
-
-    # -- wire artifacts ------------------------------------------------
-    def _wire_path(self, digest: str) -> str:
-        return os.path.join(self.root, "wire", digest[:2], digest)
-
-    def load_wire(self, digest: str) -> Optional[bytes]:
-        """A content-addressed wire payload (netlist text / stimulus),
-        or None when absent.
-
-        No sidecar hash: wire payloads are *named by* their content
-        digest, so the caller re-derives the digest from the loaded
-        bytes and discards any mismatch — the store itself only promises
-        atomic writes.
-        """
-        try:
-            with open(self._wire_path(digest), "rb") as handle:
-                return handle.read()
-        except OSError:
-            return None
-
-    def store_wire(self, digest: str, payload: bytes) -> None:
-        """Persist one wire payload; failures are silently ignored."""
-        path = self._wire_path(digest)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            _atomic_write(path, payload)
-        except OSError:
-            pass
-
-    def store_compiled(self, nd: str, compiled: CompiledNetlist) -> None:
-        """Persist a compiled plan; failures are silently ignored."""
-        directory = self._netlist_dir(nd)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            payload = pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
-            _atomic_write(os.path.join(directory, "compiled.pkl"), payload)
-            _atomic_write(
-                os.path.join(directory, "compiled.meta.json"),
-                json.dumps(
-                    {
-                        "schema": CACHE_SCHEMA,
-                        "sha256": hashlib.sha256(payload).hexdigest(),
-                    }
-                ).encode(),
-            )
-        except (OSError, pickle.PicklingError):
-            pass
-
-
 def cache_root() -> str:
-    """The artifact cache root directory (not created by this call)."""
+    """The artifact cache root directory (not created by this call).
+
+    Re-resolved on every call so tests (and callers) can repoint
+    ``REPRO_CACHE_DIR`` without reloading the module.
+    """
     override = os.environ.get("REPRO_CACHE_DIR")
     if override:
         return os.path.join(override, "artifacts")
@@ -325,16 +129,39 @@ def cache_root() -> str:
     return os.path.join(base, "repro", "artifacts")
 
 
-def disk_cache() -> Optional[DiskArtifactCache]:
-    """The process-wide disk cache, or None when disabled.
+def _wire_path(digest: str) -> str:
+    return os.path.join(cache_root(), "wire", digest[:2], digest)
 
-    Re-resolved on every call so tests (and callers) can repoint
-    ``REPRO_CACHE_DIR`` without reloading the module; construction is
-    just a path join, so there is nothing worth memoizing.
+
+def load_wire(digest: str) -> Optional[bytes]:
+    """A content-addressed wire payload (netlist text / stimulus), or
+    None when absent.
+
+    No sidecar hash: wire payloads are *named by* their content digest,
+    so the caller re-derives the digest from the loaded bytes and
+    discards any mismatch — the store itself only promises atomic
+    writes.
     """
-    if os.environ.get("REPRO_DISK_CACHE", "1") == "0":
+    try:
+        with open(_wire_path(digest), "rb") as handle:
+            return handle.read()
+    except OSError:
         return None
-    return DiskArtifactCache(cache_root())
+
+
+def store_wire(digest: str, payload: bytes) -> None:
+    """Persist one wire payload; failures are silently ignored.
+
+    Writes are atomic (write-to-temp + rename), so concurrent daemons
+    never observe a torn payload; last writer wins with identical
+    content.
+    """
+    path = _wire_path(digest)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        _atomic_write(path, payload)
+    except OSError:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -345,25 +172,18 @@ def disk_cache() -> Optional[DiskArtifactCache]:
 def compiled_for(netlist_or_compiled) -> CompiledNetlist:
     """Compile ``netlist_or_compiled`` once per content digest.
 
-    Accepts either a :class:`Netlist` (cached by digest, backed by the
-    disk layer for campaign-scale circuits) or an existing
+    Accepts either a :class:`Netlist` (cached by digest) or an existing
     :class:`CompiledNetlist` (returned unchanged), mirroring the calling
     convention of :func:`repro.sim.parallel.grade_faults`.
     """
     if isinstance(netlist_or_compiled, CompiledNetlist):
         return netlist_or_compiled
-    netlist = netlist_or_compiled
-    digest = netlist_digest(netlist)
+    digest = netlist_digest(netlist_or_compiled)
     try:
         return _COMPILED[digest]
     except KeyError:
         pass
-    disk = disk_cache() if netlist.num_ffs >= DISK_MIN_FLOPS else None
-    compiled = disk.load_compiled(digest) if disk is not None else None
-    if compiled is None:
-        compiled = compile_netlist(netlist)
-        if disk is not None:
-            disk.store_compiled(digest, compiled)
+    compiled = compile_netlist(netlist_or_compiled)
     evict_oldest(_COMPILED, _MAX_COMPILED)
     _COMPILED[digest] = compiled
     return compiled
@@ -372,12 +192,10 @@ def compiled_for(netlist_or_compiled) -> CompiledNetlist:
 def golden_for(compiled: CompiledNetlist, testbench: Testbench) -> GoldenTrace:
     """Run (or reuse) the golden trace for ``compiled`` under ``testbench``.
 
-    Computed by the native kernel's golden pass when it is available;
-    only the scalar :func:`run_golden` fallback reads and writes the
-    disk layer, where the copy saves real time. Keyed by (netlist digest,
-    stimulus digest) — the exact key the disk layer uses, so in-process
-    callers, pooled workers and separate runs of the same campaign all
-    resolve to one artifact.
+    Computed by the native kernel's golden pass when it is available,
+    else by the scalar :func:`run_golden`. Keyed by (netlist digest,
+    stimulus digest), so every in-process caller of the same campaign
+    resolves to one trace.
     """
     key = (netlist_digest(compiled.source), testbench.stimulus_digest())
     try:
@@ -386,17 +204,7 @@ def golden_for(compiled: CompiledNetlist, testbench: Testbench) -> GoldenTrace:
         pass
     golden = golden_trace(compiled, testbench)
     if golden is None:
-        disk = (
-            disk_cache()
-            if testbench.num_cycles >= DISK_MIN_CYCLES
-            and compiled.num_flops >= DISK_MIN_FLOPS
-            else None
-        )
-        golden = disk.load_golden(*key) if disk is not None else None
-        if golden is None:
-            golden = run_golden(compiled, testbench)
-            if disk is not None:
-                disk.store_golden(key[0], key[1], golden)
+        golden = run_golden(compiled, testbench)
     evict_oldest(_GOLDEN, _MAX_GOLDEN)
     _GOLDEN[key] = golden
     return golden
@@ -404,7 +212,7 @@ def golden_for(compiled: CompiledNetlist, testbench: Testbench) -> GoldenTrace:
 
 def clear_caches() -> None:
     """Drop every session-cached compiled netlist, golden trace and fused
-    program (the disk layer is untouched)."""
+    program (the wire store is untouched)."""
     _COMPILED.clear()
     _GOLDEN.clear()
     clear_program_cache()

@@ -62,12 +62,11 @@ def build_sticky():
 def _isolated_disk_cache():
     """Point the on-disk artifact cache at a throwaway directory.
 
-    Tests grade campaign-scale circuits (b14 and friends) whose compiled
-    plans and golden traces would otherwise land in the user's real
-    ``~/.cache/repro`` — pollution at best, cross-test coupling at
-    worst. Session scope keeps cache *hits* within one test run
-    exercised. Tests that set ``REPRO_CACHE_DIR`` themselves (the disk
-    cache suite) override per-test via monkeypatch as usual.
+    Tests run TCP worker daemons whose wire store (shipped netlists and
+    stimuli) would otherwise land in the user's real ``~/.cache/repro``
+    — pollution at best, cross-test coupling at worst. Tests that set
+    ``REPRO_CACHE_DIR`` themselves override per-test via monkeypatch as
+    usual.
     """
     if os.environ.get("REPRO_CACHE_DIR"):
         yield

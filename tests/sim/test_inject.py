@@ -117,6 +117,39 @@ def test_intermittent_parameters(period, duty_fraction, value, num_cycles, onset
     assert_schedule_matches(faults, num_cycles, 3)
 
 
+def _masked_intermittent_events(onsets, flops, num_cycles, value, period, duty):
+    """Build every force-on and release, then drop those past the bench."""
+    counts = np.maximum((num_cycles - onsets) // period + 1, 0)
+    lanes = np.repeat(np.arange(len(onsets)), counts)
+    nth = np.arange(len(lanes)) - np.repeat(np.cumsum(counts) - counts, counts)
+    starts = onsets[lanes] + nth * period
+    cycle = np.concatenate([starts, starts + duty])
+    lane = np.tile(lanes, 2)
+    op = np.repeat(np.array([FORCE0 + value, RELEASE], np.uint8), len(lanes))
+    keep = cycle <= num_cycles
+    return cycle[keep], flops[lane[keep]], lane[keep], op[keep]
+
+
+@pytest.mark.parametrize("num_cycles", [0, 1, 7, 20])
+@pytest.mark.parametrize("period,duty", [(2, 1), (3, 2), (4, 2), (5, 1), (7, 6)])
+def test_intermittent_events_count_releases_directly(num_cycles, period, duty):
+    """Counting releases per lane emits exactly the events, in the order,
+    of building every release and masking off those past the bench —
+    including onsets within ``duty`` of ``num_cycles`` and past it."""
+    onsets = np.arange(num_cycles + period + 2, dtype=np.int64)
+    flops = (onsets * 5 + 1) % 11
+    for value in (0, 1):
+        got = IntermittentFault.injection_events(
+            onsets, flops, num_cycles, value=value, period=period, duty=duty
+        )
+        want = _masked_intermittent_events(
+            onsets, flops, num_cycles, value, period, duty
+        )
+        for got_column, want_column in zip(got, want):
+            assert got_column.dtype == want_column.dtype
+            assert np.array_equal(got_column, want_column)
+
+
 def test_onset_after_the_bench_emits_no_force():
     schedule = schedule_for([StuckAtFault(cycle=5, flop_index=0, value=1)], 4, 1)
     assert schedule.offsets[-1] == 0
