@@ -11,7 +11,7 @@ import pytest
 from benchmarks.conftest import once
 from repro.faults.sampling import sample_fault_list
 from repro.sim.compile import compile_netlist
-from repro.sim.cycle import CycleSimulator, replay_single_fault, run_golden
+from repro.sim.cycle import CycleSimulator, replay_fault, run_golden
 from repro.sim.parallel import grade_faults
 from repro.synth.lutmap import map_to_luts
 
@@ -38,9 +38,7 @@ def test_bench_serial_replay_sample(benchmark, b14, b14_bench, b14_faults):
 
     def replay_all():
         for fault in sample:
-            replay_single_fault(
-                compiled, b14_bench, fault.flop_index, fault.cycle, golden
-            )
+            replay_fault(compiled, b14_bench, fault, golden)
 
     once(benchmark, replay_all)
 

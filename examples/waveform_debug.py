@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Debugging a single fault with the event simulator and VCD waveforms.
+"""Debugging a single fault with the cycle simulator and VCD waveforms.
 
 Fault grading tells you *that* an upset fails; debugging asks *how* the
-corruption propagated. This example picks the worst flip-flop of the b01
-comparator (most failing injections), replays one of its failing faults
-on the event-driven simulator with a waveform recorder attached, and
-writes a GTKWave-compatible VCD file of the propagation.
+corruption propagated. This example picks the failing fault of the b01
+comparator that stays hidden longest (the most cycles from the upset to
+the first wrong output), replays it on the cycle simulator with a
+waveform recorder sampling every net, and writes a GTKWave-compatible
+VCD file of the propagation.
 
 Run:  python examples/waveform_debug.py  [output.vcd]
 """
@@ -15,7 +16,7 @@ import sys
 from repro import build_circuit, grade_faults, random_testbench
 from repro.faults.classify import FaultClass
 from repro.faults.model import exhaustive_fault_list
-from repro.sim.event import EventSimulator
+from repro.sim.cycle import CycleSimulator
 from repro.sim.waves import VcdRecorder
 
 
@@ -25,33 +26,25 @@ def main():
     bench = random_testbench(circuit, 48, seed=5)
     faults = exhaustive_fault_list(circuit, bench.num_cycles)
     graded = grade_faults(circuit, bench, faults)
-    dictionary = graded.to_dictionary()
-
-    worst_flop, _count = dictionary.weakest_flops(1)[0]
-    target = next(
-        record
-        for record in dictionary
-        if record.verdict is FaultClass.FAILURE
-        and (record.fault.flop_name or "") == worst_flop
+    target = max(
+        (record for record in graded.to_dictionary()
+         if record.verdict is FaultClass.FAILURE),
+        key=lambda record: record.fail_cycle - record.fault.cycle,
     )
     fault = target.fault
     print(f"replaying {fault.describe()} "
-          f"(fails at cycle {target.fail_cycle}) on the event simulator")
+          f"(fails at cycle {target.fail_cycle}) on the cycle simulator")
 
-    simulator = EventSimulator(circuit)
-    recorder = VcdRecorder(circuit)
-    simulator.observe(recorder.on_change)
-
-    vectors = list(bench.as_dicts())
-    for cycle, vector in enumerate(vectors):
+    simulator = CycleSimulator(circuit)
+    recorder = VcdRecorder(simulator)
+    for cycle, vector in enumerate(bench.vectors):
         if cycle == fault.cycle:
-            q_net = circuit.dffs[worst_flop].q
-            current = simulator.values[q_net]
-            simulator.poke_flop(worst_flop, current ^ 1)  # the SEU
+            simulator.flip_flop_bit(fault.flop_index)  # the SEU
         simulator.step(vector)
+        recorder.sample()
 
     recorder.write(out_path)
-    print(f"wrote {out_path} ({simulator.events_processed} events simulated); "
+    print(f"wrote {out_path} ({bench.num_cycles} cycles); "
           "open it in GTKWave to follow the corruption.")
 
 

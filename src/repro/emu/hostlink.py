@@ -6,7 +6,8 @@ microseconds per fault, dominated by host<->board transactions) and plain
 software fault simulation (~1300 microseconds per fault). Both are
 modelled here — the host-link model from explicit per-fault transaction
 counts, the simulation baseline both analytically and by *measuring* our
-own serial fault simulator.
+own serial fault simulator (:func:`repro.sim.cycle.replay_fault`, which
+replays each fault model's own semantics).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.errors import CampaignError
 from repro.faults.model import SeuFault
 from repro.netlist.netlist import Netlist
 from repro.sim.cache import compiled_for, golden_for
-from repro.sim.cycle import replay_single_fault
+from repro.sim.cycle import replay_fault
 from repro.sim.vectors import Testbench
 
 
@@ -95,9 +96,7 @@ class SoftwareFaultSimModel:
         started = time.perf_counter()
         for _ in range(max(1, repetitions)):
             for fault in sample:
-                replay_single_fault(
-                    compiled, testbench, fault.flop_index, fault.cycle, golden
-                )
+                replay_fault(compiled, testbench, fault, golden)
         elapsed = time.perf_counter() - started
         return elapsed / (len(sample) * max(1, repetitions))
 

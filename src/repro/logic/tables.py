@@ -1,9 +1,9 @@
 """Combinational gate semantics.
 
 One table (`GATE_EVAL`) defines the function each gate type computes over
-three-valued inputs; everything in the library that needs gate semantics —
-the cycle simulator, the event simulator, netlist constant propagation, the
-LUT mapper's truth-table extraction — comes through here.
+three-valued inputs. Netlist constant propagation, expression evaluation
+and arity checks come through here; the compiled simulators' opcodes are
+held to it by a fixpoint reference simulator in the tests.
 
 Gate types are lowercase strings. Sequential elements (``dff``) and ports
 are *not* listed here; they are handled structurally by the netlist layer.

@@ -1,8 +1,8 @@
 """Netlist simulation.
 
 * :mod:`repro.sim.compile` — levelize a netlist into a flat op program.
-* :mod:`repro.sim.cycle` — scalar cycle-based simulator (golden runs,
-  single-fault replays, tests).
+* :mod:`repro.sim.cycle` — the scalar cycle-based simulator (golden runs,
+  the serial reference replay of any fault model, waveforms).
 * :mod:`repro.sim.parallel` — bit-parallel fault simulator: the functional
   oracle for fault grading (64 faults per machine word).
 * :mod:`repro.sim.backends` — pluggable grading engines behind the oracle:
@@ -10,9 +10,8 @@
   ``bigint``.
 * :mod:`repro.sim.cache` — session caches for compiled netlists and
   golden traces.
-* :mod:`repro.sim.event` — event-driven simulator for debugging.
 * :mod:`repro.sim.vectors` — testbench/stimulus containers and generators.
-* :mod:`repro.sim.waves` — VCD waveform export.
+* :mod:`repro.sim.waves` — VCD waveform export from the cycle simulator.
 """
 
 from repro.sim.backends import GradingEngine, available_engines, get_engine

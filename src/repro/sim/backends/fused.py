@@ -356,7 +356,7 @@ def golden_trace(
     in_at, in_step = inputs.ctypes.data, inputs.strides[0]
     column = values[:, 0]
     q_rows = column[program.q_start : program.q_stop]
-    q_rows[:] = _mask_rows([compiled.initial_state(x_as_zero=True)], num_flops)
+    q_rows[:] = _mask_rows([compiled.initial_state()], num_flops)
     states = np.empty((num_cycles + 1, num_flops), dtype=np.uint64)
     outputs = np.empty((num_cycles, len(out_slots)), dtype=np.uint64)
     for cycle in range(num_cycles):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.logic.values import X, Value
+from repro.logic.values import Value
 from repro.netlist.netlist import Netlist
 from repro.netlist.topo import levelize
 
@@ -90,21 +90,12 @@ class CompiledNetlist:
     def num_flops(self) -> int:
         return len(self.flops)
 
-    def initial_state(self, x_as_zero: bool = True) -> int:
-        """Packed reset state (bit i = flop i in chain order).
-
-        X inits become 0 when ``x_as_zero`` (an FPGA flop powers up to 0),
-        otherwise they raise — the grading oracle needs definite values.
-        """
+    def initial_state(self) -> int:
+        """Packed reset state (bit i = flop i in chain order). X inits
+        become 0: an FPGA flop powers up to 0."""
         state = 0
         for position, flop in enumerate(self.flops):
-            if flop.init == X:
-                if not x_as_zero:
-                    raise SimulationError(
-                        f"flop {flop.name} has X init; grading needs a reset value"
-                    )
-                continue
-            if flop.init:
+            if flop.init == 1:
                 state |= 1 << position
         return state
 

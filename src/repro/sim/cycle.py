@@ -1,12 +1,15 @@
 """Scalar cycle-based simulation.
 
 :class:`CycleSimulator` steps a compiled netlist one clock at a time with
-plain Python ints. It is the reference implementation: the golden run the
-native kernel's golden pass is checked against (and the golden run itself
-when the kernel is unavailable), the per-fault replay used to cross-check
-the bit-parallel oracle, and the engine behind the examples.
+plain Python ints. It is the project's only scalar simulator and its
+reference implementation: the golden run the native kernel's golden pass
+is checked against (and the golden run itself when the kernel is
+unavailable), the per-fault :func:`replay_fault` that cross-checks the
+bit-parallel oracle and is timed as the software fault-simulation
+baseline, and the source of VCD waveforms (:mod:`repro.sim.waves`).
+Values are two-valued: a flop with an X init powers up to 0.
 
-Clocking model (shared by every simulator and by the campaign cycle
+Clocking model (shared by every engine and by the campaign cycle
 accounting): during cycle ``t`` the flops hold state ``s_t``; inputs
 ``x_t`` are applied; combinational logic settles; outputs ``y_t`` are
 observed; the next state ``s_{t+1}`` is latched from the D inputs.
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import CampaignError, SimulationError
 from repro.netlist.netlist import Netlist
 from repro.sim.compile import CompiledNetlist, compile_netlist, eval_program_scalar
 from repro.sim.vectors import Testbench
@@ -50,23 +53,22 @@ class CycleSimulator:
     same packing the fault model, scan chains and golden traces use.
     """
 
-    def __init__(self, netlist_or_compiled, x_as_zero: bool = True):
+    def __init__(self, netlist_or_compiled):
         if isinstance(netlist_or_compiled, Netlist):
             self.compiled: CompiledNetlist = compile_netlist(netlist_or_compiled)
         else:
             self.compiled = netlist_or_compiled
         self._values: List[int] = [0] * self.compiled.num_slots
-        self._x_as_zero = x_as_zero
-        self._state: int = self.compiled.initial_state(x_as_zero=x_as_zero)
+        self._state: int = self.compiled.initial_state()
         self.cycle: int = 0
 
     # ------------------------------------------------------------------
     # state access
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Return every flop to its init value and cycle to 0, honouring
-        the ``x_as_zero`` policy chosen at construction."""
-        self._state = self.compiled.initial_state(x_as_zero=self._x_as_zero)
+        """Return every flop to its init value (X inits read 0) and the
+        cycle count to 0."""
+        self._state = self.compiled.initial_state()
         self.cycle = 0
 
     def get_state(self) -> int:
@@ -151,78 +153,58 @@ def replay_fault(
     fault,
     golden: Optional[GoldenTrace] = None,
 ) -> Dict[str, int]:
-    """Reference replay for *any* fault model (slow path, one fault).
+    """Reference (slow-path) replay of one fault of any model, used to
+    cross-check the bit-parallel oracle and to measure the software
+    fault-simulation baseline.
 
-    Generalizes :func:`replay_single_fault` to the full injection
-    protocol of :class:`repro.faults.model.SeuFault`: all of the fault's
-    flips are applied at its onset cycle, and its force (if any) is
-    re-applied to the held state every cycle it is active — including the
-    post-bench state, which decides SILENT vs LATENT for persistent
-    faults. ``vanish_cycle`` is the start of the final golden-equal
-    suffix (identical to first-match for transient faults, which cannot
-    re-diverge).
+    Follows the injection protocol of :class:`repro.faults.model.SeuFault`:
+    all of the fault's flips are applied at its onset cycle, and its force
+    (if any) is re-applied to the held state every cycle it is active —
+    including the post-bench state, which decides SILENT vs LATENT for
+    persistent faults. Returns ``fail_cycle`` and ``vanish_cycle`` (-1 when
+    the event never happens), matching the oracle's definitions exactly.
+
+    A transient fault stops at the first cycle whose held state equals
+    the golden one: it never forces again, so the two runs are identical
+    from there on. A persistent fault can re-diverge, so its
+    ``vanish_cycle`` is the start of the final golden-equal suffix.
+
+    Like :func:`repro.sim.parallel.grade_faults`, refuses a fault whose
+    onset is not inside the testbench.
     """
+    if fault.cycle >= testbench.num_cycles:
+        raise CampaignError(
+            f"{fault.describe()} is beyond the {testbench.num_cycles}-cycle "
+            "testbench"
+        )
     if golden is None:
         golden = run_golden(netlist_or_compiled, testbench)
     simulator = CycleSimulator(netlist_or_compiled)
-    simulator.set_state(golden.states[fault.cycle])
+    state = golden.states[fault.cycle]
+    for flop_index in fault.flip_flops():
+        state ^= 1 << flop_index
     fail_cycle = -1
     vanish_cycle = -1
     for cycle in range(fault.cycle, testbench.num_cycles):
-        state = simulator.get_state()
-        if cycle == fault.cycle:
-            for flop_index in fault.flip_flops():
-                state ^= 1 << flop_index
         state = fault.apply_force(state, cycle)
-        simulator.set_state(state)
         if cycle > fault.cycle:
             # The state held *during* this cycle decides whether the
             # fault effect had disappeared at the end of the previous one.
-            if state == golden.states[cycle]:
-                if vanish_cycle == -1:
-                    vanish_cycle = cycle - 1
-            else:
+            if state != golden.states[cycle]:
                 vanish_cycle = -1
+            elif vanish_cycle == -1:
+                vanish_cycle = cycle - 1
+                if not fault.persistent:
+                    return {"fail_cycle": fail_cycle, "vanish_cycle": vanish_cycle}
+        simulator.set_state(state)
         output = simulator.step(testbench.vectors[cycle])
         if fail_cycle == -1 and output != golden.outputs[cycle]:
             fail_cycle = cycle
-    final = fault.apply_force(simulator.get_state(), testbench.num_cycles)
+        state = simulator.get_state()
+    final = fault.apply_force(state, testbench.num_cycles)
     if final == golden.final_state():
         if vanish_cycle == -1:
             vanish_cycle = testbench.num_cycles - 1
     else:
         vanish_cycle = -1
-    return {"fail_cycle": fail_cycle, "vanish_cycle": vanish_cycle}
-
-
-def replay_single_fault(
-    netlist_or_compiled,
-    testbench: Testbench,
-    flop_index: int,
-    inject_cycle: int,
-    golden: Optional[GoldenTrace] = None,
-) -> Dict[str, int]:
-    """Reference (slow-path) single-fault replay used to cross-check the
-    bit-parallel oracle.
-
-    Returns a dict with ``fail_cycle`` and ``vanish_cycle`` (-1 when the
-    event never happens), matching the oracle's definitions exactly.
-    """
-    if golden is None:
-        golden = run_golden(netlist_or_compiled, testbench)
-    simulator = CycleSimulator(netlist_or_compiled)
-    # Fast-forward to the injection state using the golden trace.
-    simulator.set_state(golden.states[inject_cycle])
-    simulator.flip_flop_bit(flop_index)
-    fail_cycle = -1
-    vanish_cycle = -1
-    for cycle in range(inject_cycle, testbench.num_cycles):
-        output = simulator.step(testbench.vectors[cycle])
-        if fail_cycle == -1 and output != golden.outputs[cycle]:
-            fail_cycle = cycle
-        if simulator.get_state() == golden.states[cycle + 1]:
-            # Once the faulty state equals the golden state the two runs
-            # are identical forever: nothing later can change the verdict.
-            vanish_cycle = cycle
-            break
     return {"fail_cycle": fail_cycle, "vanish_cycle": vanish_cycle}

@@ -54,7 +54,7 @@ class Testbench:
         return (self.vectors[cycle] >> input_index) & 1
 
     def as_dicts(self) -> Iterator[Dict[str, int]]:
-        """Iterate vectors as name->bit mappings (for the event simulator)."""
+        """Iterate vectors as name->bit mappings."""
         for vector in self.vectors:
             yield {
                 name: (vector >> index) & 1

@@ -1,8 +1,11 @@
 """VCD (Value Change Dump) waveform export.
 
-Attached to an :class:`~repro.sim.event.EventSimulator`, records every net
-change and writes a standard VCD file viewable in GTKWave — the debugging
-workflow for inspecting how a single SEU propagates through a circuit.
+A :class:`VcdRecorder` samples every net of a
+:class:`~repro.sim.cycle.CycleSimulator` after each ``step`` and writes a
+standard VCD file viewable in GTKWave — the debugging workflow for
+inspecting how a single SEU propagates through a circuit. Timestamp ``t``
+holds the values of cycle ``t``: the flop outputs held during it, its
+inputs and the settled logic. Waves are two-valued, like the simulator.
 """
 
 from __future__ import annotations
@@ -10,20 +13,21 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
-from repro.logic.values import X, Value
-from repro.netlist.netlist import Netlist
+from repro.sim.cycle import CycleSimulator
 
 
 class VcdRecorder:
-    """Collects value changes and serialises them as VCD."""
+    """Collects per-cycle value changes and serialises them as VCD."""
 
-    def __init__(self, netlist: Netlist, timescale: str = "1 ns"):
-        self.netlist = netlist
+    def __init__(self, simulator: CycleSimulator, timescale: str = "1 ns"):
+        self.simulator = simulator
         self.timescale = timescale
-        self._changes: List[Tuple[int, str, Value]] = []
-        self._identifiers: Dict[str, str] = {}
-        for index, net in enumerate(sorted(netlist.all_referenced_nets())):
-            self._identifiers[net] = self._short_id(index)
+        self._nets = sorted(simulator.compiled.net_index)
+        self._identifiers: Dict[str, str] = {
+            net: self._short_id(index) for index, net in enumerate(self._nets)
+        }
+        self._last: Dict[str, int] = {}
+        self._changes: List[Tuple[int, str, int]] = []
 
     @staticmethod
     def _short_id(index: int) -> str:
@@ -35,19 +39,27 @@ class VcdRecorder:
             chars.append(chr(33 + digit))
         return "".join(chars)
 
-    def on_change(self, cycle: int, net: str, value: Value) -> None:
-        """Observer callback for :meth:`EventSimulator.observe`."""
-        self._changes.append((cycle, net, value))
+    def sample(self) -> None:
+        """Record every net that changed in the cycle just stepped (every
+        net on the first call). Call once after each ``step``."""
+        cycle = self.simulator.cycle - 1
+        for net in self._nets:
+            value = self.simulator.peek_net(net)
+            if self._last.get(net) != value:
+                self._last[net] = value
+                self._changes.append((cycle, net, value))
 
     def dumps(self) -> str:
         """Serialise everything recorded so far to VCD text."""
         lines = [
             "$date repro fault-grading run $end",
             f"$timescale {self.timescale} $end",
-            f"$scope module {_sanitise(self.netlist.name)} $end",
+            f"$scope module {_sanitise(self.simulator.compiled.source.name)} $end",
         ]
-        for net, identifier in sorted(self._identifiers.items()):
-            lines.append(f"$var wire 1 {identifier} {_sanitise(net)} $end")
+        for net in self._nets:
+            lines.append(
+                f"$var wire 1 {self._identifiers[net]} {_sanitise(net)} $end"
+            )
         lines.append("$upscope $end")
         lines.append("$enddefinitions $end")
 
@@ -56,8 +68,7 @@ class VcdRecorder:
             if cycle != current_time:
                 lines.append(f"#{cycle}")
                 current_time = cycle
-            symbol = "x" if value == X else str(value)
-            lines.append(f"{symbol}{self._identifiers[net]}")
+            lines.append(f"{value}{self._identifiers[net]}")
         return "\n".join(lines) + "\n"
 
     def write(self, path: Union[str, Path]) -> None:

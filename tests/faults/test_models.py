@@ -11,7 +11,7 @@ from repro.faults.models import (
     available_models,
     get_fault_model,
 )
-from repro.sim.cycle import replay_fault, replay_single_fault, run_golden
+from repro.sim.cycle import replay_fault, run_golden
 from repro.sim.vectors import constant_testbench, random_testbench
 from tests.conftest import build_counter, build_shift_register, build_toggle
 
@@ -109,17 +109,6 @@ class TestFaultProtocol:
 
 class TestReplaySemantics:
     """The serial reference replay defines each model's meaning."""
-
-    def test_replay_fault_matches_legacy_replay_for_seu(self):
-        counter = build_counter()
-        bench = random_testbench(counter, 14, seed=4)
-        golden = run_golden(counter, bench)
-        for fault in exhaustive_fault_list(counter, 14):
-            generic = replay_fault(counter, bench, fault, golden)
-            legacy = replay_single_fault(
-                counter, bench, fault.flop_index, fault.cycle, golden
-            )
-            assert generic == legacy, fault.describe()
 
     def test_stuck_at_equal_to_golden_value_is_silent(self):
         """Forcing a flop to the value it would hold anyway leaves the

@@ -12,7 +12,7 @@ from repro.faults.model import SeuFault
 from repro.logic.tables import eval_gate
 from repro.netlist.builder import NetlistBuilder
 from repro.rtl import RtlModule, const
-from repro.sim.cycle import CycleSimulator, replay_single_fault, run_golden
+from repro.sim.cycle import CycleSimulator, replay_fault, run_golden
 from repro.sim.parallel import grade_faults
 from repro.sim.vectors import Testbench
 from repro.synth.lutmap import map_to_luts
@@ -146,9 +146,7 @@ def test_oracle_agrees_with_replay_on_random_circuits(data):
     assert list(numpy_result.vanish_cycles) == list(bigint_result.vanish_cycles)
     golden = run_golden(netlist, bench)
     for index, fault in enumerate(faults):
-        reference = replay_single_fault(
-            netlist, bench, fault.flop_index, fault.cycle, golden
-        )
+        reference = replay_fault(netlist, bench, fault, golden)
         assert numpy_result.fail_cycles[index] == reference["fail_cycle"]
         assert numpy_result.vanish_cycles[index] == reference["vanish_cycle"]
 

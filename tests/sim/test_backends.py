@@ -14,7 +14,7 @@ from repro.faults.model import SeuFault, exhaustive_fault_list
 from repro.netlist.builder import NetlistBuilder
 from repro.sim.backends import available_engines, get_engine
 from repro.sim.cache import compiled_for, golden_for
-from repro.sim.cycle import replay_single_fault, run_golden
+from repro.sim.cycle import replay_fault, run_golden
 from repro.sim.parallel import grade_faults
 from repro.sim.vectors import constant_testbench, random_testbench
 from tests.conftest import build_shift_register
@@ -136,9 +136,7 @@ class TestPropertyCrossCheck:
         oracle = grade_faults(circuit, bench, faults, backend="fused")
         golden = run_golden(circuit, bench)
         for index, fault in enumerate(faults):
-            reference = replay_single_fault(
-                circuit, bench, fault.flop_index, fault.cycle, golden
-            )
+            reference = replay_fault(circuit, bench, fault, golden)
             assert oracle.fail_cycles[index] == reference["fail_cycle"], fault
             assert oracle.vanish_cycles[index] == reference["vanish_cycle"], fault
 

@@ -1,14 +1,10 @@
 """Tests for netlist compilation and the VCD writer."""
 
-import pytest
-
-from repro.errors import SimulationError
 from repro.logic.values import X
 from repro.netlist.builder import NetlistBuilder
 from repro.sim.compile import compile_netlist
-from repro.sim.event import EventSimulator
+from repro.sim.cycle import CycleSimulator
 from repro.sim.waves import VcdRecorder
-from tests.conftest import build_counter
 
 
 class TestCompile:
@@ -53,18 +49,17 @@ class TestCompile:
         b.dff(a, q="q", init=X, name="fx")
         b.output_net("y", "q")
         compiled = compile_netlist(b.build())
-        assert compiled.initial_state(x_as_zero=True) == 0
-        with pytest.raises(SimulationError):
-            compiled.initial_state(x_as_zero=False)
+        assert compiled.initial_state() == 0
 
 
 class TestVcd:
-    def _record(self, circuit, cycles=4):
-        sim = EventSimulator(circuit)
-        recorder = VcdRecorder(circuit)
-        sim.observe(recorder.on_change)
+    def _record(self, circuit, cycles=4, toggle_inputs=True):
+        sim = CycleSimulator(circuit)
+        recorder = VcdRecorder(sim)
+        all_ones = (1 << len(circuit.inputs)) - 1
         for cycle in range(cycles):
-            sim.step({name: cycle & 1 for name in circuit.inputs})
+            sim.step(all_ones if toggle_inputs and cycle & 1 else 0)
+            recorder.sample()
         return recorder
 
     def test_header_structure(self, counter):
@@ -84,6 +79,11 @@ class TestVcd:
         text = recorder.dumps()
         assert "#0" in text
         assert "#1" in text
+
+    def test_unchanged_nets_are_not_repeated(self, counter):
+        recorder = self._record(counter, toggle_inputs=False)  # never enabled
+        text = recorder.dumps()
+        assert "#0" in text and "#1" not in text
 
     def test_short_ids_unique(self):
         ids = {VcdRecorder._short_id(i) for i in range(500)}

@@ -1,16 +1,21 @@
 """Unit tests for the scalar cycle simulator and golden traces."""
 
+from functools import partial
+
 import pytest
 
-from repro.errors import SimulationError
+from repro.circuits.registry import build_circuit
+from repro.errors import CampaignError, SimulationError
+from repro.faults.model import SeuFault
+from repro.faults.models import get_fault_model
+from repro.logic.tables import eval_gate
+from repro.logic.values import X
 from repro.sim.compile import compile_netlist
-from repro.sim.cycle import (
-    CycleSimulator,
-    replay_single_fault,
-    run_golden,
-)
+from repro.sim.cycle import CycleSimulator, replay_fault, run_golden
+from repro.sim.parallel import grade_faults
 from repro.sim.vectors import Testbench, constant_testbench, random_testbench
 from tests.conftest import build_counter, build_shift_register, build_sticky
+from tests.property.randnet import random_netlist
 
 
 class TestStepping:
@@ -78,17 +83,7 @@ class TestStateAccess:
         assert sim.get_state() == 0
         assert sim.cycle == 0
 
-    def test_reset_preserves_x_as_zero_choice(self, counter):
-        # reset() must reuse the x_as_zero given at construction instead
-        # of silently reverting to the default
-        sim = CycleSimulator(counter, x_as_zero=False)
-        sim.step(1)
-        sim.reset()
-        assert sim.get_state() == 0
-        assert sim._x_as_zero is False
-
     def test_reset_with_x_init_flop(self):
-        from repro.logic.values import X
         from repro.netlist.builder import NetlistBuilder
 
         b = NetlistBuilder("xinit")
@@ -96,12 +91,10 @@ class TestStateAccess:
         b.buf(q, out="d")
         b.output_net("o", q)
         netlist = b.build()
-        sim = CycleSimulator(netlist)  # x_as_zero=True: X becomes 0
+        sim = CycleSimulator(netlist)  # an X init powers up to 0
         sim.step(0)
         sim.reset()
         assert sim.get_state() == 0
-        with pytest.raises(SimulationError):
-            CycleSimulator(netlist, x_as_zero=False)
 
     def test_peek_net(self, counter):
         sim = CycleSimulator(counter)
@@ -131,11 +124,56 @@ class TestGoldenTrace:
         assert trace.final_state() == 5
 
 
-class TestReplaySingleFault:
+def fixpoint_step(netlist, state, inputs):
+    """Reference for one clock cycle that shares nothing with
+    ``compile_netlist``/``levelize``: re-evaluate every gate with
+    ``eval_gate`` until no net changes, then latch the flops. ``state``
+    and ``inputs`` map nets to values; returns (outputs, next state)."""
+    values = {**state, **inputs}
+    changed = True
+    while changed:
+        changed = False
+        for gate in netlist.gates.values():
+            value = eval_gate(gate.gate_type, [values.get(n, X) for n in gate.inputs])
+            if values.get(gate.output, X) != value:
+                values[gate.output] = value
+                changed = True
+    outputs = [values[net] for net in netlist.outputs]
+    return outputs, {dff.q: values[dff.d] for dff in netlist.dffs.values()}
+
+
+def pack(bits):
+    return sum(bit << index for index, bit in enumerate(bits))
+
+
+REFERENCE_CIRCUITS = {
+    "counter": build_counter,
+    "shift": build_shift_register,
+    "sticky": build_sticky,
+    **{f"rand{seed}": partial(random_netlist, seed) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CIRCUITS))
+def test_matches_fixpoint_reference(name):
+    """Outputs and state equal the fixpoint reference, cycle by cycle."""
+    circuit = REFERENCE_CIRCUITS[name]()
+    bench = random_testbench(circuit, 25, seed=6)
+    sim = CycleSimulator(circuit)
+    flops = list(circuit.dffs.values())
+    state = {dff.q: 0 if dff.init == X else dff.init for dff in flops}
+    for cycle, vector in enumerate(bench.vectors):
+        inputs = {net: (vector >> i) & 1 for i, net in enumerate(circuit.inputs)}
+        outputs, state = fixpoint_step(circuit, state, inputs)
+        assert sim.step(vector) == pack(outputs), cycle
+        assert sim.get_state() == pack(state[dff.q] for dff in flops), cycle
+
+
+class TestReplayFault:
     def test_shift_register_fault_flushes_out(self):
         shift = build_shift_register(4)
         bench = constant_testbench(shift, 12, value=0)
-        outcome = replay_single_fault(shift, bench, flop_index=0, inject_cycle=2)
+        outcome = replay_fault(shift, bench, SeuFault(cycle=2, flop_index=0))
         # the flipped bit marches to the output (fail) and then leaves (vanish)
         assert outcome["fail_cycle"] != -1
         assert outcome["vanish_cycle"] != -1
@@ -145,7 +183,7 @@ class TestReplaySingleFault:
         sticky = build_sticky()
         # never observe, never trigger: alarm stays 0, state stays corrupted
         bench = constant_testbench(sticky, 10, value=0)
-        outcome = replay_single_fault(sticky, bench, flop_index=0, inject_cycle=1)
+        outcome = replay_fault(sticky, bench, SeuFault(cycle=1, flop_index=0))
         assert outcome["fail_cycle"] == -1
         assert outcome["vanish_cycle"] == -1
 
@@ -155,10 +193,53 @@ class TestReplaySingleFault:
         vectors = [0] * 10
         vectors[6] = 1 << observe_bit
         bench = Testbench(list(sticky.inputs), vectors)
-        outcome = replay_single_fault(sticky, bench, flop_index=0, inject_cycle=1)
+        outcome = replay_fault(sticky, bench, SeuFault(cycle=1, flop_index=0))
         assert outcome["fail_cycle"] == 6
 
     def test_injection_at_cycle_zero(self, counter):
         bench = constant_testbench(counter, 6, value=1)
-        outcome = replay_single_fault(counter, bench, flop_index=3, inject_cycle=0)
+        outcome = replay_fault(counter, bench, SeuFault(cycle=0, flop_index=3))
         assert outcome["fail_cycle"] == 0  # value is a direct output
+
+    @pytest.mark.parametrize("cycle", [6, 7])
+    def test_fault_outside_the_bench_is_refused(self, counter, cycle):
+        """The reference refuses what grade_faults refuses."""
+        bench = constant_testbench(counter, 6, value=1)
+        fault = SeuFault(cycle=cycle, flop_index=1)
+        with pytest.raises(CampaignError, match="beyond the 6-cycle testbench"):
+            replay_fault(counter, bench, fault)
+        with pytest.raises(CampaignError, match="beyond the 6-cycle testbench"):
+            grade_faults(counter, bench, [fault])
+
+    @pytest.mark.parametrize("model_name", ["seu", "stuck_at_1"])
+    def test_steps_until_the_verdict_is_settled(self, monkeypatch, model_name):
+        """A transient fault stops stepping at its vanish cycle; a
+        persistent one can re-diverge, so it steps to the end of the
+        bench. Either way the outcome equals the fused engine's."""
+        circuit = build_circuit("b04")
+        bench = random_testbench(circuit, 40, seed=3)
+        faults = get_fault_model(model_name).population(circuit, 40)[::7]
+        fused = grade_faults(circuit, bench, faults, backend="fused")
+        golden = run_golden(circuit, bench)
+        steps = []
+        real_step = CycleSimulator.step
+
+        def counting_step(simulator, vector):
+            steps[-1] += 1
+            return real_step(simulator, vector)
+
+        monkeypatch.setattr(CycleSimulator, "step", counting_step)
+        for index, fault in enumerate(faults):
+            steps.append(0)
+            outcome = replay_fault(circuit, bench, fault, golden)
+            vanish_cycle = int(fused.vanish_cycles[index])
+            assert outcome == {
+                "fail_cycle": int(fused.fail_cycles[index]),
+                "vanish_cycle": vanish_cycle,
+            }, fault.describe()
+            settled = vanish_cycle + 1
+            if fault.persistent or vanish_cycle == -1:
+                settled = bench.num_cycles
+            assert steps[-1] == settled - fault.cycle, fault.describe()
+        # Faults that vanish before the last cycle exercise both branches.
+        assert any(0 <= cycle < bench.num_cycles - 1 for cycle in fused.vanish_cycles)

@@ -10,7 +10,7 @@ import pytest
 from repro.errors import CampaignError
 from repro.faults.classify import FaultClass
 from repro.faults.model import SeuFault, exhaustive_fault_list
-from repro.sim.cycle import replay_single_fault, run_golden
+from repro.sim.cycle import replay_fault, run_golden
 from repro.sim.parallel import DEFAULT_BACKEND, grade_faults
 from repro.sim.vectors import Testbench, constant_testbench, random_testbench
 from tests.conftest import (
@@ -51,9 +51,7 @@ def test_oracle_matches_serial_replay(name):
     oracle = grade_faults(circuit, bench, faults)
     golden = run_golden(circuit, bench)
     for index, fault in enumerate(faults):
-        reference = replay_single_fault(
-            circuit, bench, fault.flop_index, fault.cycle, golden
-        )
+        reference = replay_fault(circuit, bench, fault, golden)
         assert oracle.fail_cycles[index] == reference["fail_cycle"], fault
         assert oracle.vanish_cycles[index] == reference["vanish_cycle"], fault
 
