@@ -40,10 +40,7 @@ import socket
 import struct
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import CampaignError
-from repro.faults.model import CYCLE_DTYPE
 from repro.sim.vectors import Testbench
 
 #: bump on any incompatible framing or message-shape change; both sides
@@ -124,16 +121,6 @@ def recv_msg(sock: socket.socket) -> Tuple[str, Dict, bytes]:
 # ----------------------------------------------------------------------
 # payload codecs
 # ----------------------------------------------------------------------
-def pack_cycles(cycles) -> bytes:
-    """Cycle outcomes as packed little-endian int32 bytes (the shard IPC
-    and ``result`` blob form), whatever the host's byte order."""
-    return np.asarray(cycles, dtype=CYCLE_DTYPE).tobytes()
-
-
-def unpack_cycles(blob: bytes) -> List[int]:
-    return np.frombuffer(blob, dtype=CYCLE_DTYPE).tolist()
-
-
 def pack_testbench(testbench: Testbench) -> bytes:
     """Serialize a testbench for transfer: input names + hex vectors.
 

@@ -51,6 +51,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # headers and body go out as two writes; with Nagle on, a keep-alive
+    # client's delayed ACK holds the body back ~40 ms
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # plumbing
@@ -63,24 +66,21 @@ class _Handler(BaseHTTPRequestHandler):
         if self.service.verbose:
             super().log_message(format, *args)
 
-    def _send_json(self, payload: Dict, status: int = 200) -> None:
-        body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    def _send(
+        self, body, content_type: str = "application/json", status: int = 200
+    ) -> None:
+        """One response; a ``dict`` body is sent as indented JSON."""
+        if isinstance(body, dict):
+            body = json.dumps(body, indent=2) + "\n"
+        data = body.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        self.wfile.write(body)
-
-    def _send_html(self, markup: str, status: int = 200) -> None:
-        body = markup.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(data)
 
     def _error(self, message: str, status: int) -> None:
-        self._send_json({"error": message}, status=status)
+        self._send({"error": message}, status=status)
 
     def _read_body(self) -> Optional[Dict]:
         try:
@@ -137,7 +137,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(str(error), 400)
 
     def _healthz(self) -> None:
-        self._send_json(
+        self._send(
             {
                 "ok": True,
                 "queue_depth": self.service.executor.queue_depth,
@@ -154,25 +154,26 @@ class _Handler(BaseHTTPRequestHandler):
             for row in campaigns
             if row["status"] in ("done", "imported")
         }
-        self._send_html(
+        self._send(
             render_dashboard(
                 campaigns,
                 counts,
                 queue_depth=self.service.executor.queue_depth,
                 started_at=self.service.started_at,
-            )
+            ),
+            "text/html; charset=utf-8",
         )
 
     def _list_campaigns(self, query: Dict) -> None:
         rows = self.service.db.campaigns(status=query.get("status"))
-        self._send_json({"campaigns": rows, "count": len(rows)})
+        self._send({"campaigns": rows, "count": len(rows)})
 
     def _get_campaign(self, campaign_id: str) -> None:
         row = self.service.db.campaign(campaign_id)
         if row is None:
             self._error(f"unknown campaign {campaign_id!r}", 404)
             return
-        self._send_json(row)
+        self._send(row)
 
     def _get_results(self, campaign_id: str) -> None:
         db = self.service.db
@@ -181,7 +182,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(f"unknown campaign {campaign_id!r}", 404)
             return
         if row["status"] not in ("done", "imported"):
-            self._send_json(
+            self._send(
                 {
                     "campaign_id": campaign_id,
                     "status": row["status"],
@@ -191,7 +192,7 @@ class _Handler(BaseHTTPRequestHandler):
                 status=409,
             )
             return
-        self._send_json(
+        self._send(
             {
                 "campaign_id": campaign_id,
                 "status": row["status"],
@@ -231,7 +232,7 @@ class _Handler(BaseHTTPRequestHandler):
                 400,
             )
             return
-        self._send_json({"kind": kind, "rows": rows, "count": len(rows)})
+        self._send({"kind": kind, "rows": rows, "count": len(rows)})
 
     # ------------------------------------------------------------------
     # POST / DELETE
@@ -259,7 +260,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         row = dict(row)
         row["resubmitted"] = not created
-        self._send_json(row, status=201 if created else 200)
+        self._send(row, status=201 if created else 200)
 
     def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
         path, _ = self._route()
@@ -275,7 +276,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if outcome is None:
             row = self.service.db.campaign(campaign_id)
-            self._send_json(
+            self._send(
                 {
                     "campaign_id": campaign_id,
                     "status": row["status"],
@@ -283,7 +284,7 @@ class _Handler(BaseHTTPRequestHandler):
                 }
             )
             return
-        self._send_json({"campaign_id": campaign_id, "status": outcome})
+        self._send({"campaign_id": campaign_id, "status": outcome})
 
 
 class CampaignService:

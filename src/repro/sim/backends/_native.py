@@ -36,7 +36,7 @@ simulation.
 
 No compiler, a failed compile, or ``REPRO_FUSED_NATIVE=0`` in the
 environment makes :func:`native_kernel` return ``None``; the fused
-engine then hands every grade to the ``numpy`` engine (same results,
+engine then hands every grade to the ``bigint`` engine (same results,
 slower). The compiled library is cached under ``~/.cache`` keyed by a
 hash of the source and the CPU identity, so a machine pays the compile
 once. Nothing beyond ``ctypes``, numpy and the toolchain already

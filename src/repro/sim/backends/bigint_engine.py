@@ -3,12 +3,12 @@
 Nets are arbitrary-precision Python ints, one fault per bit position. Its
 simulation needs nothing beyond the standard library (numpy only holds
 the returned outcome columns), which makes it the trusted cross-check
-for the numpy-based engines and the natural choice for small runs in
-constrained environments.
+for the numpy-based engines and the fused engine's fallback when the C
+kernel is unavailable.
 
-Plain SEU campaigns take the original loop verbatim; other fault models
-run the generic branch (multi-flop flips, per-cycle force re-application,
-final-suffix vanish semantics) — see :mod:`repro.sim.inject`.
+Every fault model runs one loop over its injection schedule: flips,
+per-cycle force re-application and final-suffix vanish semantics (for
+a transient fault, the first match) — see :mod:`repro.sim.inject`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.model import FLIP, FORCE1, RELEASE, SeuFault, fault_columns
+from repro.faults.model import FLIP, FORCE1, RELEASE, SeuFault
 from repro.sim.backends.base import GradingEngine, register_engine
 from repro.sim.compile import (
     OP_AND,
@@ -107,114 +107,6 @@ class BigintEngine(GradingEngine):
         golden: GoldenTrace,
     ) -> Tuple[np.ndarray, np.ndarray]:
         schedule = schedule_for(faults, testbench.num_cycles, compiled.num_flops)
-        if schedule.simple:
-            fail, vanish = self._grade_simple(compiled, testbench, faults, golden)
-        else:
-            fail, vanish = self._grade_general(compiled, testbench, golden, schedule)
-        # the simulation itself is pure Python; only the result is a column
-        return np.array(fail, dtype=np.int32), np.array(vanish, dtype=np.int32)
-
-    # ------------------------------------------------------------------
-    # the original SEU loop (one-shot XOR, first-match vanish)
-    # ------------------------------------------------------------------
-    def _grade_simple(
-        self,
-        compiled: CompiledNetlist,
-        testbench: Testbench,
-        faults: Sequence[SeuFault],
-        golden: GoldenTrace,
-    ) -> Tuple[List[int], List[int]]:
-        num_faults = len(faults)
-        all_ones = (1 << num_faults) - 1
-
-        values = [0] * compiled.num_slots
-
-        injections: Dict[int, List] = {}
-        by_cycle: Dict[int, int] = {}
-        cycles, flop_indices = fault_columns(faults)
-        for index, (cycle, flop_index) in enumerate(
-            zip(cycles.tolist(), flop_indices.tolist())
-        ):
-            q_slot = compiled.flops[flop_index].q_index
-            injections.setdefault(cycle, []).append((q_slot, 1 << index))
-            by_cycle[cycle] = by_cycle.get(cycle, 0) | (1 << index)
-
-        injected_mask_by_cycle: List[int] = []
-        running = 0
-        for cycle in range(testbench.num_cycles):
-            running |= by_cycle.get(cycle, 0)
-            injected_mask_by_cycle.append(running)
-
-        reset = golden.states[0]
-        for position, flop in enumerate(compiled.flops):
-            values[flop.q_index] = all_ones if (reset >> position) & 1 else 0
-
-        fail_cycle = [-1] * num_faults
-        vanish_cycle = [-1] * num_faults
-        not_failed = all_ones
-        not_vanished = all_ones
-
-        for cycle in range(testbench.num_cycles):
-            for q_slot, bit in injections.get(cycle, ()):
-                values[q_slot] ^= bit
-
-            vector = testbench.vectors[cycle]
-            for position, slot in enumerate(compiled.input_slots):
-                values[slot] = all_ones if (vector >> position) & 1 else 0
-
-            _eval_ops_int(values, compiled.ops, all_ones)
-
-            golden_out = golden.outputs[cycle]
-            out_diff = 0
-            for position, slot in enumerate(compiled.output_slots):
-                if (golden_out >> position) & 1:
-                    out_diff |= values[slot] ^ all_ones
-                else:
-                    out_diff |= values[slot]
-
-            injected = injected_mask_by_cycle[cycle]
-            newly_failed = out_diff & not_failed & injected
-            while newly_failed:
-                low_bit = newly_failed & -newly_failed
-                fail_cycle[low_bit.bit_length() - 1] = cycle
-                newly_failed ^= low_bit
-            not_failed &= ~(out_diff & injected)
-
-            next_rows = [values[flop.d_index] for flop in compiled.flops]
-            golden_next = golden.states[cycle + 1]
-            state_diff = 0
-            for position, row in enumerate(next_rows):
-                if (golden_next >> position) & 1:
-                    state_diff |= row ^ all_ones
-                else:
-                    state_diff |= row
-            for flop, row in zip(compiled.flops, next_rows):
-                values[flop.q_index] = row
-
-            same = (state_diff ^ all_ones) & all_ones
-            newly_vanished = same & not_vanished & injected
-            while newly_vanished:
-                low_bit = newly_vanished & -newly_vanished
-                vanish_cycle[low_bit.bit_length() - 1] = cycle
-                newly_vanished ^= low_bit
-            not_vanished &= ~(same & injected)
-
-        self.last_stats = {
-            "cycles_executed": testbench.num_cycles,
-            "num_cycles": testbench.num_cycles,
-        }
-        return fail_cycle, vanish_cycle
-
-    # ------------------------------------------------------------------
-    # the generic loop (multi-flop flips, per-cycle force re-application)
-    # ------------------------------------------------------------------
-    def _grade_general(
-        self,
-        compiled: CompiledNetlist,
-        testbench: Testbench,
-        golden: GoldenTrace,
-        schedule,
-    ) -> Tuple[List[int], List[int]]:
         num_faults = schedule.num_faults
         num_cycles = testbench.num_cycles
         all_ones = (1 << num_faults) - 1
@@ -313,4 +205,7 @@ class BigintEngine(GradingEngine):
             "cycles_executed": num_cycles,
             "num_cycles": num_cycles,
         }
-        return fail_cycle, vanish_cycle
+        # the simulation itself is pure Python; only the result is a column
+        return np.array(fail_cycle, dtype=np.int32), np.array(
+            vanish_cycle, dtype=np.int32
+        )

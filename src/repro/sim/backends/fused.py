@@ -36,7 +36,8 @@ the golden trace calls it once a cycle:
 Each grade allocates its own value array and scratch, so concurrent
 grades on one compiled netlist share only read-only tables. Without the
 kernel (no C compiler, or ``REPRO_FUSED_NATIVE=0``) the engine hands the
-call to the ``numpy`` engine and reports ``last_stats["native"] = False``;
+call to the ``bigint`` engine, the faster of the two pure-Python
+references, and reports ``last_stats["native"] = False``;
 every engine and the serial replay are cross-checked in the test suite.
 """
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.faults.model import SeuFault
-from repro.sim.backends import numpy_engine as _numpy_engine  # noqa: F401
+from repro.sim.backends import bigint_engine as _bigint_engine  # noqa: F401
 from repro.sim.backends._native import native_kernel
 from repro.sim.backends.base import GradingEngine, get_engine, register_engine
 from repro.sim.inject import schedule_for
@@ -402,16 +403,14 @@ class FusedEngine(GradingEngine):
         """
         kernel = native_kernel()
         if kernel is None:
-            fallback = get_engine("numpy")
+            fallback = get_engine("bigint")
             result = fallback.grade(compiled, testbench, faults, golden)
             self.last_stats = {**fallback.last_stats, "native": False}
             return result
 
         program = fused_program_for(compiled)
         num_cycles = testbench.num_cycles
-        schedule = schedule_for(
-            faults, num_cycles, len(program.q_slots), seu_events=True
-        )
+        schedule = schedule_for(faults, num_cycles, len(program.q_slots))
         masks = _masks_for(program, testbench, golden)
         num_faults = schedule.num_faults
         first_active = schedule.first_active

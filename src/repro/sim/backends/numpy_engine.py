@@ -6,10 +6,9 @@ through a Python ``if/elif`` chain each cycle. It is kept as a registered
 engine for cross-checking the fused engine and for bisecting perf
 regressions; production grading uses ``fused``.
 
-Plain SEU campaigns take the original loop verbatim. Fault lists from the
-other models (:mod:`repro.faults.models`) run the generic branch, which
-adds multi-flop flips and per-cycle force-mask re-application driven by an
-:class:`~repro.sim.inject.InjectionSchedule`.
+Every fault model (:mod:`repro.faults.models`) runs one loop driven by
+an :class:`~repro.sim.inject.InjectionSchedule`: flips, and per-cycle
+force-mask re-application for the persistent models.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.model import SeuFault, fault_columns
+from repro.faults.model import SeuFault
 from repro.sim.backends.base import GradingEngine, register_engine
 from repro.sim.compile import (
     OP_AND,
@@ -110,112 +109,6 @@ class NumpyEngine(GradingEngine):
         golden: GoldenTrace,
     ) -> Tuple[np.ndarray, np.ndarray]:
         schedule = schedule_for(faults, testbench.num_cycles, compiled.num_flops)
-        if schedule.simple:
-            return self._grade_simple(compiled, testbench, faults, golden)
-        return self._grade_general(compiled, testbench, golden, schedule)
-
-    # ------------------------------------------------------------------
-    # the original SEU loop (one-shot XOR, first-match vanish)
-    # ------------------------------------------------------------------
-    def _grade_simple(
-        self,
-        compiled: CompiledNetlist,
-        testbench: Testbench,
-        faults: Sequence[SeuFault],
-        golden: GoldenTrace,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        num_faults = len(faults)
-        num_words = (num_faults + 63) // 64
-        ones = _ONES
-
-        values = np.zeros((compiled.num_slots, num_words), dtype=np.uint64)
-
-        # Lanes grouped by injection cycle: cycle t injects lanes
-        # by_cycle[starts[t]:ends[t]], one XOR into each lane's q row.
-        inject_cycle, flop_indices = fault_columns(faults)
-        q_of_flop = np.array([flop.q_index for flop in compiled.flops], np.intp)
-        lane_q = q_of_flop[flop_indices]
-        by_cycle = np.argsort(inject_cycle, kind="stable")
-        span = np.arange(testbench.num_cycles)
-        starts = np.searchsorted(inject_cycle[by_cycle], span, side="left")
-        ends = np.searchsorted(inject_cycle[by_cycle], span, side="right")
-
-        # Load the shared reset state.
-        reset = golden.states[0]
-        for position, flop in enumerate(compiled.flops):
-            values[flop.q_index, :] = ones if (reset >> position) & 1 else 0
-
-        fail_cycle = np.full(num_faults, -1, dtype=np.int32)
-        vanish_cycle = np.full(num_faults, -1, dtype=np.int32)
-
-        ops = compiled.ops
-        flops = compiled.flops
-        output_slots = compiled.output_slots
-
-        for cycle in range(testbench.num_cycles):
-            # 1. inject this cycle's faults into the held state
-            lanes = by_cycle[starts[cycle] : ends[cycle]]
-            np.bitwise_xor.at(
-                values,
-                (lane_q[lanes], lanes >> 6),
-                np.left_shift(np.uint64(1), (lanes & 63).astype(np.uint64)),
-            )
-
-            # 2. drive inputs (same golden vector for every fault channel)
-            vector = testbench.vectors[cycle]
-            for position, slot in enumerate(compiled.input_slots):
-                values[slot, :] = ones if (vector >> position) & 1 else 0
-
-            # 3. evaluate combinational logic
-            _eval_ops(values, ops, ones)
-
-            # 4. compare outputs against the golden output word
-            golden_out = golden.outputs[cycle]
-            out_diff = np.zeros(num_words, dtype=np.uint64)
-            for position, slot in enumerate(output_slots):
-                if (golden_out >> position) & 1:
-                    out_diff |= ~values[slot]
-                else:
-                    out_diff |= values[slot]
-
-            diff_bits = _unpack_bits(out_diff, num_faults)
-            newly_failed = diff_bits & (fail_cycle == -1) & (inject_cycle <= cycle)
-            fail_cycle[newly_failed] = cycle
-
-            # 5. latch next state and compare against the golden next state
-            next_rows = [values[flop.d_index].copy() for flop in flops]
-            golden_next = golden.states[cycle + 1]
-            state_diff = np.zeros(num_words, dtype=np.uint64)
-            for position, row in enumerate(next_rows):
-                if (golden_next >> position) & 1:
-                    state_diff |= ~row
-                else:
-                    state_diff |= row
-            for flop, row in zip(flops, next_rows):
-                values[flop.q_index] = row
-
-            same_bits = ~_unpack_bits(state_diff, num_faults)
-            newly_vanished = (
-                same_bits & (vanish_cycle == -1) & (inject_cycle <= cycle)
-            )
-            vanish_cycle[newly_vanished] = cycle
-
-        self.last_stats = {
-            "cycles_executed": testbench.num_cycles,
-            "num_cycles": testbench.num_cycles,
-        }
-        return fail_cycle, vanish_cycle
-
-    # ------------------------------------------------------------------
-    # the generic loop (multi-flop flips, per-cycle force re-application)
-    # ------------------------------------------------------------------
-    def _grade_general(
-        self,
-        compiled: CompiledNetlist,
-        testbench: Testbench,
-        golden: GoldenTrace,
-        schedule,
-    ) -> Tuple[np.ndarray, np.ndarray]:
         num_faults = schedule.num_faults
         num_cycles = testbench.num_cycles
         num_words = (num_faults + 63) // 64

@@ -12,10 +12,10 @@ the force rows into per-flop ``(mask, set)`` bit-planes and re-apply
 them to the held state every cycle — the mask-scan instrument's
 ``ms_force`` override in array form. Cycle ``num_cycles`` carries the
 post-bench state's transitions, which the final SILENT/LATENT compare
-reads. A transient fault's events all fall on its injection cycle. The
-fused engine grades every schedule, SEU included, in one native loop;
-the ``bigint`` and ``numpy`` reference engines keep their original fast
-paths for all-SEU lists (``simple``).
+reads. A transient fault's events all fall on its injection cycle.
+Every engine grades every schedule, SEU (one ``FLIP`` per fault)
+included, in one loop: the fused engine's native call, and the
+``bigint`` and ``numpy`` reference engines' Python loops.
 
 A forced lane that matches the golden state can diverge again, so
 ``vanish_cycle`` is the start of a lane's *final* golden-equal suffix
@@ -41,8 +41,6 @@ class InjectionSchedule:
 
     num_faults: int
     num_cycles: int
-    #: every fault is a plain one-flop transient flip (legacy fast path)
-    simple: bool
     #: the faults re-apply a force each cycle
     persistent: bool
     #: ``num_cycles + 2`` row offsets, then the event columns
@@ -59,29 +57,18 @@ class InjectionSchedule:
 
 
 def schedule_for(
-    faults: Sequence[SeuFault],
-    num_cycles: int,
-    num_flops: int,
-    *,
-    seu_events: bool = False,
+    faults: Sequence[SeuFault], num_cycles: int, num_flops: int
 ) -> InjectionSchedule:
     """Build the schedule for ``faults`` (validating flip/force targets).
 
-    The all-SEU case builds no events unless ``seu_events`` asks for its
-    one flip per fault (the fused kernel grades every model from the
-    events; the reference engines' SEU loops never read them). Either
-    way a :class:`~repro.faults.model.FaultArray` names its fault type,
-    so it costs no fault object.
+    A :class:`~repro.faults.model.FaultArray` names its fault type, so
+    it costs no fault object.
     """
     fault_type, params = fault_model_of(faults)
-    simple = fault_type is SeuFault
-    if simple and not seu_events:
-        cycle = flop = lane = op = first_active = np.zeros(0, dtype=np.intp)
-    else:
-        first_active, flops = fault_columns(faults)
-        cycle, flop, lane, op = fault_type.injection_events(
-            first_active, flops, num_cycles, **params
-        )
+    first_active, flops = fault_columns(faults)
+    cycle, flop, lane, op = fault_type.injection_events(
+        first_active, flops, num_cycles, **params
+    )
     if (flop >= num_flops).any():
         row = int(np.argmax(flop >= num_flops))
         raise CampaignError(
@@ -108,7 +95,6 @@ def schedule_for(
     return InjectionSchedule(
         len(faults),
         num_cycles,
-        simple,
         fault_type.persistent,
         np.searchsorted(keys[order], np.arange(num_cycles + 2)),
         flop[order].astype(np.intp),

@@ -1,6 +1,8 @@
 """Columnar campaigns: no per-fault objects on the grading path, and one
 byte order for packed outcomes on every host."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from repro.run import worker
 from repro.run.runner import CampaignRunner
 from repro.run.spec import CampaignSpec
 from repro.run.store import ShardRecord
-from repro.run.transport import wire
 from repro.sim.parallel import FaultGradingResult
 
 
@@ -62,8 +63,6 @@ def test_b14_campaign_builds_no_per_fault_objects(
 
 
 def test_packed_cycles_are_little_endian():
-    assert wire.pack_cycles([1, -2]) == b"\x01\x00\x00\x00\xfe\xff\xff\xff"
-    assert wire.unpack_cycles(b"\x01\x00\x00\x00\xfe\xff\xff\xff") == [1, -2]
     record = ShardRecord.from_json_obj({
         "index": 0, "start_cycle": 0, "end_cycle": 4, "num_faults": 2,
         "fail_cycles": b"\x03\x00\x00\x00\xff\xff\xff\xff",
@@ -71,6 +70,31 @@ def test_packed_cycles_are_little_endian():
     })
     assert list(record.fail_cycles) == [3, -1]
     assert list(record.vanish_cycles) == [-1, 258]
+
+
+def test_packed_cycles_roundtrip_through_a_shard_record():
+    cycles = [0, 1, -1, 159, 2**31 - 1]
+    packed = np.asarray(cycles, dtype="<i4").tobytes()
+    record = ShardRecord.from_json_obj({
+        "index": 0, "start_cycle": 0, "end_cycle": 160, "num_faults": 5,
+        "fail_cycles": packed, "vanish_cycles": packed[::-1],
+    })
+    assert list(record.fail_cycles) == cycles
+    restored = ShardRecord.from_json_obj(json.loads(record.to_json_line()))
+    assert list(restored.fail_cycles) == cycles
+    assert np.array_equal(restored.vanish_cycles, record.vanish_cycles)
+
+
+def test_empty_window_packs_to_empty_columns():
+    spec = CampaignSpec("b04", "time_multiplexed", sample=200)
+    scenario = worker.scenario_for(spec)
+    end = scenario.testbench.num_cycles
+    record = worker.grade_scenario_window(scenario, 0, end, end + 8, engine="fused")
+    assert record["num_faults"] == 0
+    assert record["fail_cycles"] == record["vanish_cycles"] == b""
+    shard = ShardRecord.from_json_obj(record)
+    assert len(shard.fail_cycles) == len(shard.vanish_cycles) == 0
+    assert json.loads(shard.to_json_line())["fail_cycles"] == []
 
 
 def test_worker_packs_shards_little_endian():
@@ -81,7 +105,7 @@ def test_worker_packs_shards_little_endian():
         scenario.netlist, scenario.testbench, scenario.faults)
     fail = np.frombuffer(record["fail_cycles"], dtype="<i4")
     assert list(fail) == list(oracle.fail_cycles)
-    assert record["vanish_cycles"] == wire.pack_cycles(oracle.vanish_cycles)
+    assert record["vanish_cycles"] == oracle.vanish_cycles.astype("<i4").tobytes()
 
 
 def test_outcome_digest_is_independent_of_array_byte_order():

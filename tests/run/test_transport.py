@@ -106,13 +106,6 @@ class TestWireFraming:
 
 
 class TestPayloadCodecs:
-    def test_cycles_roundtrip(self):
-        cycles = [0, 1, -1, 159, 2**31 - 1]
-        assert wire.unpack_cycles(wire.pack_cycles(cycles)) == cycles
-
-    def test_empty_cycles(self):
-        assert wire.unpack_cycles(wire.pack_cycles([])) == []
-
     def test_testbench_roundtrip(self, counter_bench):
         restored = wire.unpack_testbench(wire.pack_testbench(counter_bench))
         assert restored.input_names == counter_bench.input_names

@@ -244,6 +244,24 @@ class TestOperational:
         assert body["ok"] is True
         assert "queue_depth" in body
 
+    def test_keep_alive_responses_are_not_delayed(self, service):
+        """Headers and body leave in two writes; with Nagle on, the
+        client's delayed ACK held every keep-alive response ~40 ms."""
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=30
+        )
+        elapsed = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert json.load(response)["ok"] is True
+                elapsed.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert sorted(elapsed)[len(elapsed) // 2] < 0.020, elapsed
+
     def test_dashboard_lists_campaigns(self, service):
         _, row = _request(service, "/campaigns", body=SPEC)
         _await_terminal(service, row["campaign_id"])

@@ -170,7 +170,7 @@ class TestEarlyExit:
         engine = get_engine("fused")
         fused = grade_faults(shift, bench, faults, backend="fused")
         stats = engine.last_stats
-        if stats["native"]:  # the no-kernel numpy fallback runs every cycle
+        if stats["native"]:  # the no-kernel bigint fallback runs every cycle
             assert stats["cycles_executed"] < 12
         assert stats["num_cycles"] == 200
         # correctness is unaffected by the early exit

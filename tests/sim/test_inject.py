@@ -89,7 +89,6 @@ def test_population_schedule_matches_each_fault(model_name, num_cycles):
     circuit = build_shift_register(6)
     population = get_fault_model(model_name).population(circuit, num_cycles)
     schedule = assert_schedule_matches(population, num_cycles, circuit.num_ffs)
-    assert not schedule.simple
     assert schedule.persistent == population.fault_type.persistent
     # a list of the same faults builds the same schedule
     listed = schedule_for(list(population), num_cycles, circuit.num_ffs)
@@ -197,7 +196,7 @@ def test_events_outside_a_faults_active_cycles_are_refused(faults):
 
 def test_events_past_the_bench_sort_last():
     faults = [SeuFault(cycle=70000, flop_index=1), SeuFault(cycle=3, flop_index=2)]
-    schedule = schedule_for(faults, 8, 4, seu_events=True)
+    schedule = schedule_for(faults, 8, 4)
     assert list(schedule.offsets) == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
     assert list(schedule.lane) == [1, 0]
 
@@ -216,8 +215,13 @@ def test_mixed_lists_are_refused(faults):
         schedule_for(faults, 4, 4)
 
 
-def test_seu_arrays_and_lists_build_no_events():
-    array = FaultArray([0, 1], [0, 1], ["a", "b"])
-    for faults in (array, list(array), []):
+def test_seu_arrays_and_lists_flip_once_per_fault():
+    array = FaultArray([2, 0, 2], [1, 0, 0], ["a", "b"])
+    for faults in (array, list(array)):
         schedule = schedule_for(faults, 4, 2)
-        assert schedule.simple and len(schedule.op) == 0
+        assert list(schedule.op) == [FLIP] * 3
+        assert list(schedule.offsets) == [0, 1, 1, 3, 3, 3]
+        # cycle order, fault order within a cycle
+        assert list(schedule.lane) == [1, 0, 2]
+        assert list(schedule.flop) == [0, 1, 0]
+    assert len(schedule_for([], 4, 2).op) == 0

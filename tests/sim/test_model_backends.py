@@ -34,18 +34,25 @@ def model_fault_sample(model_name, circuit, num_cycles, rng, count=70):
 
 
 class TestScheduleFor:
-    def test_plain_seu_lists_are_simple(self):
-        faults = [SeuFault(cycle=1, flop_index=0), SeuFault(cycle=3, flop_index=2)]
-        schedule = schedule_for(faults, 8, 4)
-        assert schedule.simple and not schedule.persistent
-        assert len(schedule.op) == 0  # fast path never reads events
+    def test_seu_lists_flip_once_per_fault(self):
+        from repro.faults.model import FLIP
 
-    def test_mbu_is_transient_but_not_simple(self):
+        faults = [SeuFault(cycle=3, flop_index=2), SeuFault(cycle=1, flop_index=0)]
+        schedule = schedule_for(faults, 8, 4)
+        assert not schedule.persistent
+        assert list(schedule.op) == [FLIP, FLIP]
+        for lane, fault in enumerate(faults):
+            rows = schedule.events(fault.cycle)
+            assert list(schedule.lane[rows]) == [lane]
+            assert list(schedule.flop[rows]) == [fault.flop_index]
+        assert len(schedule_for([], 8, 4).op) == 0
+
+    def test_mbu_is_transient(self):
         from repro.faults.model import FLIP
 
         faults = get_fault_model("mbu:2").population(build_counter(), 4)[:5]
         schedule = schedule_for(faults, 4, build_counter().num_ffs)
-        assert not schedule.simple and not schedule.persistent
+        assert not schedule.persistent
         assert list(schedule.op) == [FLIP] * 10
         assert schedule.offsets[-1] == 10
 
@@ -54,7 +61,7 @@ class TestScheduleFor:
 
         faults = get_fault_model("stuck_at_1").population(build_counter(), 4)[:5]
         schedule = schedule_for(faults, 4, build_counter().num_ffs)
-        assert schedule.persistent and not schedule.simple
+        assert schedule.persistent
         assert list(schedule.op) == [FORCE1] * 5
 
     def test_out_of_range_flip_rejected(self):
@@ -140,7 +147,7 @@ class TestEarlyExitContract:
         faults = get_fault_model("mbu:2").population(shift, 3)
         engine = get_engine("fused")
         result = grade_faults(shift, bench, faults, backend="fused")
-        if engine.last_stats["native"]:  # the numpy fallback runs every cycle
+        if engine.last_stats["native"]:  # the bigint fallback runs every cycle
             assert engine.last_stats["cycles_executed"] < 15
         assert all(cycle != -1 for cycle in result.vanish_cycles)
 
@@ -154,7 +161,7 @@ class TestEarlyExitContract:
         grade_faults(shift, bench, faults, backend="fused")
         assert engine.last_stats["cycles_executed"] == 60
 
-    def test_seu_keeps_the_legacy_fast_path(self):
+    def test_every_model_is_one_native_call(self):
         """Every model grades through the one native call whenever the
         kernel is available, and reports ``repacks``; persistent models
         never retire a lane, so they never repack."""
