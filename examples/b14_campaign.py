@@ -8,7 +8,7 @@ vectors, 34,400 single faults) through the campaign CLI. Equivalent to::
     python -m repro report --circuit b14
 
 Any extra arguments are forwarded (e.g. ``--workers 4`` to shard the
-grading over a process pool, ``--no-crossover`` to skip the sweep).
+grading over shard threads, ``--no-crossover`` to skip the sweep).
 
 Run:  python examples/b14_campaign.py
 """

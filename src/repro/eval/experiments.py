@@ -38,7 +38,7 @@ class ExperimentContext:
     stay b14's — they are what the paper printed). Explicit ``netlist``/
     ``testbench`` objects override the name. ``engine`` selects the
     fault-grading backend used by every experiment; ``workers`` > 1
-    shards the grading over a process pool, and ``store_root`` persists
+    shards the grading over in-process threads, and ``store_root`` persists
     completed shards so an interrupted reproduction resumes.
     """
 

@@ -5,12 +5,12 @@
 * :mod:`repro.run.runner` — :class:`CampaignRunner`, the sharded,
   transport-pluggable, resumable executor.
 * :mod:`repro.run.transport` — shard transports: in-process ``serial``,
-  process-pool ``local``, and remote-daemon ``tcp`` (plus the wire
+  thread-pool ``local``, and remote-daemon ``tcp`` (plus the wire
   protocol and the ``repro worker`` daemon).
 * :mod:`repro.run.store` — :class:`ResultsStore`, the per-campaign JSONL
   checkpoint store under ``runs/<campaign-id>/``.
-* :mod:`repro.run.worker` — worker-process shard grading (per-process
-  scenario and simulation caches).
+* :mod:`repro.run.worker` — shard grading (per-process scenario and
+  simulation caches).
 * :mod:`repro.run.cli` — the ``python -m repro`` command line (imported
   lazily by ``repro.__main__``, not re-exported here).
 """

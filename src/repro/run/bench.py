@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 REGRESSION_TOLERANCE = 0.25
 #: workers=2 / workers=1 steady-state slowdown allowed on >= 2 CPUs
 SCALING_TOLERANCE = 0.0
-#: ... and on one CPU, where the pool can only add overhead
+#: ... and on one CPU, where shard threads can only add overhead
 SCALING_TOLERANCE_ONE_CPU = 0.10
 #: the engine whose same-run row scales a baseline from another machine
 YARDSTICK = "bigint"
@@ -80,7 +81,9 @@ def expected_fused_us(history: Sequence[dict], entry: dict) -> Tuple[float, str]
         and all(prior.get(key) == entry[key] for key in CAMPAIGN_KEYS)
     ]
     if same_machine:
-        return min(same_machine), "best prior entry for this machine"
+        # the median, not the best: one lucky-fast run must not turn an
+        # ordinary slow day on the same host into a regression
+        return statistics.median(same_machine), "median prior entry for this machine"
     tail = history[-1]
     now, then = entry["backends"][YARDSTICK], tail["backends"][YARDSTICK]
     return tail["fused_us_per_fault"] * now / then, (

@@ -193,7 +193,7 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="grading processes (>=2 enables the process pool)",
+        help="grading threads (>=2 grades shards on an in-process thread pool)",
     )
     parser.add_argument(
         "--shards",

@@ -8,7 +8,7 @@ into a :class:`~repro.emu.campaign.CampaignResult` by
    slices),
 2. grading shards through a pluggable
    :class:`~repro.run.transport.ShardTransport` — in-process
-   (``serial``), on the persistent local process pool (``local``), or
+   (``serial``), on a persistent in-process thread pool (``local``), or
    fanned across remote ``repro worker`` daemons (``tcp``). Every
    transport consumes a *dynamic* shard queue: idle workers pull the
    next window, lost workers' windows are re-queued, and records stream
@@ -32,6 +32,7 @@ reduction over the merged oracle.
 from __future__ import annotations
 
 import os
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -85,7 +86,7 @@ class AdaptiveCampaign:
 
 
 def default_pool_workers() -> int:
-    """Default process-pool size for sweeps and benchmarks: at least 2
+    """Default thread-pool size for sweeps and benchmarks: at least 2
     (otherwise it is not a pool), at most 4 (grading saturates memory
     bandwidth before core count on typical hosts)."""
     return max(2, min(4, os.cpu_count() or 2))
@@ -119,9 +120,10 @@ class CampaignRunner:
     """Executes campaign specs, sharded and resumable.
 
     Parameters:
-        workers: grading processes for the ``local`` transport. ``<= 1``
-            grades in-process (the ``serial`` transport, same code
-            path, no pool).
+        workers: grading threads for the ``local`` transport. ``<= 1``
+            grades inline (the ``serial`` transport, same code path, no
+            pool). Without the native kernel the grade holds the GIL,
+            so the pool runs one thread whatever ``workers`` says.
         shards: shard count override; default ``SHARDS_PER_WORKER x
             effective transport workers``, capped at the testbench
             length.
@@ -183,12 +185,11 @@ class CampaignRunner:
     def _ensure_transport(self) -> ShardTransport:
         """The persistent shard transport, created on first grade.
 
-        Keeping the transport alive across campaigns is a large share of
-        the multi-worker win: repeated ``grade`` calls (sweeps, bench
-        repeats, adaptive rounds) reuse warm worker processes — or warm
-        remote daemons whose artifact caches already hold this
-        campaign's netlist and stimulus — instead of paying startup +
-        scenario warmup per call.
+        Keeping the transport alive across campaigns lets repeated
+        ``grade`` calls (sweeps, bench repeats, adaptive rounds) reuse
+        its shard threads — or warm remote daemons whose artifact caches
+        already hold this campaign's netlist and stimulus — instead of
+        paying startup + scenario warmup per call.
         """
         if self._transport is None:
             self._transport = create_transport(
@@ -200,7 +201,7 @@ class CampaignRunner:
         return self._transport
 
     def close(self) -> None:
-        """Shut the transport (pool / remote connections) down (idempotent)."""
+        """Shut the transport (threads / remote connections) down (idempotent)."""
         if self._transport is not None:
             self._transport.close()
             self._transport = None
@@ -237,9 +238,9 @@ class CampaignRunner:
         return oracle
 
     def _graded(self, spec: CampaignSpec) -> Tuple[Scenario, FaultGradingResult]:
-        # Prewarm before any pool exists: compiled plan, golden trace,
-        # fused program and native kernel land in the session caches,
-        # which forked workers inherit.
+        # Prewarm before fanning out: compiled plan, golden trace, fused
+        # program and native kernel land in the session caches, which
+        # every shard thread then shares.
         scenario = worker.prewarm(spec)
         windows = self.plan(spec)
         store = None
@@ -274,19 +275,22 @@ class CampaignRunner:
             # so a service polling mid-resume never sees progress move
             # backwards. One call carries the whole resumed count.
             self.on_shard(next(iter(done.values())), len(done), len(windows))
-        for record in self._grade_shards(spec, spec_dict, pending):
-            done[record.index] = record
-            if store is not None:
-                store.append(record)
-            if self.progress:
-                self.progress(
-                    f"[{spec.campaign_id}] shard {record.index + 1}/"
-                    f"{len(windows)}: cycles [{record.start_cycle}, "
-                    f"{record.end_cycle}) — {record.num_faults} faults in "
-                    f"{record.elapsed_s:.3f}s"
-                )
-            if self.on_shard is not None:
-                self.on_shard(record, len(done), len(windows))
+        # closing(): a raising on_shard stops the transport at once, so
+        # it drops the windows it has not started yet
+        with closing(self._grade_shards(spec, spec_dict, pending)) as records:
+            for record in records:
+                done[record.index] = record
+                if store is not None:
+                    store.append(record)
+                if self.progress:
+                    self.progress(
+                        f"[{spec.campaign_id}] shard {record.index + 1}/"
+                        f"{len(windows)}: cycles [{record.start_cycle}, "
+                        f"{record.end_cycle}) — {record.num_faults} faults "
+                        f"in {record.elapsed_s:.3f}s"
+                    )
+                if self.on_shard is not None:
+                    self.on_shard(record, len(done), len(windows))
         return scenario, self._merge(scenario, windows, done)
 
     def _grade_shards(
@@ -332,7 +336,7 @@ class CampaignRunner:
         """Grade an explicit (netlist, testbench, faults) scenario.
 
         Ad-hoc scenarios have no declarative description to ship to
-        worker processes or key a store on, so they grade serially
+        remote workers or key a store on, so they grade serially
         in-process — the reference path the sharded one is verified
         against.
         """

@@ -4,7 +4,7 @@
   contract (dynamic shard queue, completion-order yielding, re-queue of
   lost windows).
 * :mod:`repro.run.transport.local` — ``serial`` (in-process reference)
-  and ``local`` (persistent process pool) transports.
+  and ``local`` (persistent in-process thread pool) transports.
 * :mod:`repro.run.transport.tcp` — the ``tcp`` transport: remote
   ``repro worker`` daemons with digest-first artifact negotiation,
   heartbeats and fault-tolerant shard retry.
@@ -34,10 +34,7 @@ def _make_serial(**options) -> ShardTransport:
 def _make_local(**options) -> ShardTransport:
     from repro.run.transport.local import LocalPoolTransport
 
-    return LocalPoolTransport(
-        workers=max(2, int(options.get("workers") or 2)),
-        progress=options.get("progress"),
-    )
+    return LocalPoolTransport(workers=max(2, int(options.get("workers") or 2)))
 
 
 def _make_tcp(**options) -> ShardTransport:

@@ -1,7 +1,7 @@
 """Transport interface: how shard grading reaches compute.
 
-A :class:`ShardTransport` owns the *where* of shard execution — in this
-process, on a local process pool, or on a fleet of remote TCP workers —
+A :class:`ShardTransport` owns the *where* of shard execution — inline,
+on a thread pool in this process, or on a fleet of remote TCP workers —
 while :class:`~repro.run.runner.CampaignRunner` keeps the *what*:
 planning windows, checkpointing records, merging outcomes. The contract
 every transport honours:
@@ -13,7 +13,7 @@ every transport honours:
 * Records are yielded **as they complete**, in any order; the runner
   checkpoints each one immediately, so a crash loses at most in-flight
   work no matter which transport produced the finished shards.
-* A lost worker's in-flight window is **re-queued**, not lost; grading
+* A lost remote worker's in-flight window is **re-queued**, not lost; grading
   is deterministic, so a re-run shard is bit-identical and the merge
   invariant survives any interleaving of failures.
 """
@@ -44,8 +44,8 @@ class ShardTransport(ABC):
     ) -> Iterator["ShardRecord"]:
         """Grade every window, yielding completed records as they finish.
 
-        ``spec_dict`` is the spec's serialized form (what actually
-        crosses process/network boundaries); ``spec`` is available for
+        ``spec_dict`` is the spec's serialized form (what shard tasks
+        and the wire protocol carry); ``spec`` is available for
         planning-side artifacts the transport may need (digests, wire
         fields). Implementations must yield exactly one record per
         window or raise :class:`~repro.errors.CampaignError`.
@@ -60,7 +60,7 @@ class ShardTransport(ABC):
         return self.name or type(self).__name__
 
     def close(self) -> None:
-        """Release pools/connections (idempotent)."""
+        """Release threads/connections (idempotent)."""
 
     def __enter__(self) -> "ShardTransport":
         return self

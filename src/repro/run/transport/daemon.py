@@ -3,8 +3,8 @@
 One process per host, started as ``repro worker --listen HOST:PORT``.
 Accepts any number of client connections (one thread each) and speaks
 the :mod:`repro.run.transport.wire` protocol: digest-first campaign
-negotiation, then shard grading with the same per-process scenario memo
-and simulation caches the local pool workers use — a warm daemon grades
+negotiation, then shard grading with the same kind of scenario memo and
+simulation caches the local runner uses — a warm daemon grades
 its first shard of a repeat campaign without rebuilding anything.
 
 Artifacts arrive content-addressed. A netlist or stimulus payload is
@@ -48,7 +48,7 @@ from repro.sim.cache import (
 
 #: heartbeat cadence while a build/grade is in flight (seconds)
 HEARTBEAT_INTERVAL = 1.0
-#: bound on the per-daemon scenario memo, matching the pool workers'
+#: bound on the per-daemon scenario memo, matching the in-process one
 MAX_CACHED_SCENARIOS = worker.MAX_CACHED_SCENARIOS
 
 #: test hook: sleep this many seconds before grading each shard, so the
@@ -266,7 +266,7 @@ class WorkerDaemon:
             scenario = self._scenario_from_artifacts(
                 header, blobs["netlist"], blobs["stimulus"]
             )
-            # Prewarm exactly like a local pool worker: compile, golden
+            # Prewarm exactly like the local runner: compile, golden
             # trace, fused program, native kernel — all heartbeat-covered.
             worker.prewarm_scenario(scenario)
         with self._state_lock:

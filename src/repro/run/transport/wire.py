@@ -4,8 +4,8 @@ Everything a ``repro worker`` daemon and the :class:`TcpTransport`
 client exchange travels in *frames*: a 4-byte big-endian payload length,
 then the payload — a compact JSON header line (the message kind plus
 small scalar fields), a ``\\n`` separator, and an optional binary blob.
-Shard outcomes reuse the packed little-endian int32 encoding the local
-process pool ships across its IPC boundary, so a 10k-fault shard's
+Shard outcomes travel in the shard record's packed little-endian int32
+encoding (the outcome columns' ``tobytes()``), so a 10k-fault shard's
 results are one 40 KB buffer, not 10k JSON numbers.
 
 The conversation is digest-first: ``prepare`` names the campaign's

@@ -1,22 +1,21 @@
-"""Worker-side shard grading for the campaign runner.
+"""Shard grading for the campaign runner.
 
-Each pool worker receives (spec dict, cycle window) tasks. The scenario —
+A shard task is a (spec dict, cycle window) pair. The scenario —
 netlist, testbench, full fault list — is rebuilt from the spec once per
-process and memoized here, so the PR-1 session caches
+process and memoized here, so the session caches
 (:mod:`repro.sim.cache`: compiled netlist, golden trace, fused program)
-are warm for every subsequent shard the worker grades. Workers return
-plain ints and packed outcome bytes only; nothing simulator-side crosses
-the process boundary.
+are warm for every shard after the first. A graded shard is a plain
+record of ints and packed outcome bytes, which the store and the TCP
+wire protocol both consume.
 
-The same functions run in-process when the runner is configured with a
-single worker, so serial and pooled execution share one code path.
+The serial transport and the local thread pool call the same
+:func:`grade_window`, so serial and pooled execution share one code path.
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -28,13 +27,6 @@ from repro.sim.cache import evict_oldest
 
 #: per-process scenario memo: campaign id -> resolved scenario
 _SCENARIOS: Dict[str, Scenario] = {}
-
-
-def worker_init(path_entry: Optional[str]) -> None:
-    """Pool initializer: make the repro package importable in children
-    (``spawn`` does not inherit the parent's ``sys.path``)."""
-    if path_entry and path_entry not in sys.path:
-        sys.path.insert(0, path_entry)
 
 
 def scenario_for(spec: CampaignSpec) -> Scenario:
@@ -54,8 +46,7 @@ def prewarm(spec: CampaignSpec) -> Scenario:
     Beyond resolving the scenario, this compiles the netlist, runs the
     golden trace, lowers the fused program and builds the native kernel,
     populating the session caches. The runner calls it once before
-    fanning out, so forked workers inherit the warm memos; spawned (or
-    later-recycled) workers rebuild them on their first shard.
+    fanning out, so every shard thread finds the memos warm.
     """
     scenario = scenario_for(spec)
     prewarm_scenario(scenario)
@@ -162,7 +153,7 @@ def grade_scenario_window(
 ) -> Dict:
     """Grade one cycle window of an already-resolved scenario.
 
-    The shared core of pool-worker and TCP-daemon shard grading. Returns
+    The shared core of in-process and TCP-daemon shard grading. Returns
     the plain record dict both the store and the wire protocol consume.
     """
     from repro.sim.parallel import grade_faults
@@ -177,10 +168,10 @@ def grade_scenario_window(
             window_faults,
             backend=engine,
         )
-        # Outcomes cross the process (or network) boundary as packed
-        # little-endian int32 bytes (the result's own columns): one
-        # contiguous buffer pickles in microseconds where a list of
-        # thousands of Python ints costs milliseconds per shard.
+        # Outcomes travel as packed little-endian int32 bytes (the
+        # result's own columns): one contiguous buffer crosses the wire
+        # in microseconds where a list of thousands of Python ints costs
+        # milliseconds per shard.
         fail = result.fail_cycles.tobytes()
         vanish = result.vanish_cycles.tobytes()
     else:  # a cycle window no sampled fault landed in

@@ -3,7 +3,7 @@
 One executor thread drains a bounded submission queue and grades each
 campaign through a persistent :class:`~repro.run.runner.CampaignRunner`
 — so the service reuses whatever transport the operator configured
-(serial, local pool, TCP fleet) and inherits all of the runner's
+(serial, in-process thread pool, TCP fleet) and inherits all of the runner's
 resume/retry behavior. Every state transition is written to the
 :class:`~repro.service.db.ResultsDB` *and* the JSONL store stays the
 durability layer: a service killed mid-campaign resumes the campaign's

@@ -352,7 +352,7 @@ class TestBench:
         path.write_text(json.dumps(payload))
         assert bench("--repeats", "1", "--check", str(path)) == 1
         captured = capsys.readouterr()
-        assert "best prior entry for this machine" in captured.err
+        assert "median prior entry for this machine" in captured.err
         assert "FAIL" in captured.err
 
     def test_check_refuses_another_campaign(self, tmp_path, capsys):
@@ -377,6 +377,22 @@ class TestBench:
         )
         assert probe.returncode == 1
         assert "native kernel" in probe.stderr
+
+    def test_check_gates_against_the_same_machine_median(self):
+        """One lucky-fast entry must not become the baseline: the gate
+        reads the median of this machine's entries, not the best."""
+        machine = {"arch": "here"}
+        history = [
+            {"machine": machine, "kernel": {"native": True},
+             "circuit": "b14", "num_faults": 1, "num_cycles": 1,
+             "fused_us_per_fault": us}
+            for us in (0.5, 1.0, 1.2)
+        ]
+        entry = {"machine": machine, "circuit": "b14", "num_faults": 1,
+                 "num_cycles": 1, "backends": {"bigint": 20.0}}
+        expected, basis = expected_fused_us(history, entry)
+        assert expected == pytest.approx(1.0)
+        assert "median prior entry for this machine" in basis
 
     def test_check_scales_another_machines_baseline_by_bigint(self):
         history = [{

@@ -81,7 +81,7 @@ class TestShardedEqualsSerial:
         sharded = CampaignRunner(workers=1, shards=5).run(spec)
         assert_bit_exact(sharded, serial_reference(spec))
 
-    def test_process_pool(self):
+    def test_thread_pool(self):
         spec = CampaignSpec(
             circuit="b04", technique="time_multiplexed", num_cycles=20, seed=2
         )

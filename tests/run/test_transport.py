@@ -7,14 +7,18 @@ rebuilt from wire artifacts is *identical* to the client-side build
 transport produces records the runner merges into the serial result.
 """
 
+import os
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.errors import CampaignError
 from repro.run.runner import CampaignRunner, plan_windows
 from repro.run.spec import CampaignSpec, scenario_from_wire
-from repro.run.store import ShardRecord
+from repro.run.store import ResultsStore, ShardRecord
 from repro.run.transport import (
     available_transports,
     create_transport,
@@ -24,6 +28,11 @@ from repro.run.transport import wire
 from repro.run.transport.base import ShardTransport
 from repro.run.transport.local import LocalPoolTransport, SerialTransport
 from repro.netlist.textio import dumps_netlist, loads_netlist
+from repro.sim.backends import get_engine
+from repro.sim.backends._native import native_kernel
+
+#: seconds a blocked shard thread waits before the test fails instead
+JOIN_TIMEOUT_S = 30.0
 
 
 # ----------------------------------------------------------------------
@@ -277,28 +286,188 @@ class TestLocalPoolTransport:
         assert sorted(record.index for record in records) == list(range(5))
         assert all(record.worker == "pool:2" for record in records)
 
-    def test_children_run_the_single_threaded_kernel(self):
-        """Pool children load the same kernel as the parent, one thread
-        per call; parallelism is the pool's, and outcomes match serial."""
-        from repro.sim.backends._native import native_kernel
-
+    def test_kernel_grades_on_several_threads_in_this_process(
+        self, monkeypatch
+    ):
+        """With the kernel, shard windows grade in this process, at
+        least two at once, and merge bit-exact with serial."""
         if native_kernel() is None:
             pytest.skip("native kernel unavailable")
         spec = CampaignSpec(circuit="b04", technique="mask_scan")
         serial = CampaignRunner(workers=1).grade(spec)
-        with CampaignRunner(workers=2, shards=4) as runner:
+        # the first two windows wait for each other: one thread alone
+        # would break the barrier instead of passing it
+        meet = threading.Barrier(2, timeout=JOIN_TIMEOUT_S)
+        calls = record_grade_calls(
+            monkeypatch, before=lambda index: index < 2 and meet.wait()
+        )
+        with CampaignRunner(workers=2, shards=8) as runner:
             pooled = runner.grade(spec)
-            pool = runner._ensure_transport()._pool
-            widths = {pool.submit(_kernel_width).result() for _ in range(4)}
-        assert widths == {1}
+        assert {pid for pid, _, _ in calls} == {os.getpid()}
+        assert len({thread for _, thread, _ in calls}) >= 2
         assert pooled.outcome_digest() == serial.outcome_digest()
 
+    def test_no_kernel_grades_on_one_thread(self, monkeypatch):
+        """Without the kernel fused grades on bigint, which holds the
+        GIL: the pool runs one thread, still in this process, and the
+        shard plan still counts every worker."""
+        spec = CampaignSpec(circuit="b04", technique="mask_scan")
+        serial = CampaignRunner(workers=1).grade(spec)
+        monkeypatch.setattr(
+            "repro.sim.backends._native.native_kernel", lambda: None
+        )
+        monkeypatch.setattr(
+            "repro.sim.backends.fused.native_kernel", lambda: None
+        )
+        calls = record_grade_calls(monkeypatch)
+        with CampaignRunner(workers=2, shards=8) as runner:
+            assert len(runner.plan(spec)) == 8
+            pooled = runner.grade(spec)
+        assert get_engine("fused").last_stats["native"] is False
+        assert len(calls) == 8
+        assert {pid for pid, _, _ in calls} == {os.getpid()}
+        assert len({thread for _, thread, _ in calls}) == 1
+        assert pooled.outcome_digest() == serial.outcome_digest()
 
-def _kernel_width() -> int:
-    """Threads per native kernel call in the calling process."""
-    from repro.sim.backends._native import native_kernel
+    def test_more_threads_than_cores_on_a_short_switch_interval(self):
+        """Shard threads share the session caches: four of them,
+        switching every microsecond, over two campaigns graded in turn,
+        stay bit-exact with serial."""
+        if native_kernel() is None:
+            pytest.skip("native kernel unavailable")
+        specs = [
+            CampaignSpec(circuit="b04", technique="mask_scan"),
+            CampaignSpec(circuit="b06", technique="state_scan"),
+        ]
+        serial = [CampaignRunner(workers=1).grade(s).outcome_digest()
+                  for s in specs]
+        digests = []
 
-    return native_kernel().threads
+        def grade_in_turn():
+            with CampaignRunner(workers=4, shards=16) as runner:
+                for _ in range(3):
+                    digests.extend(
+                        runner.grade(s).outcome_digest() for s in specs
+                    )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            grader = threading.Thread(target=grade_in_turn, daemon=True)
+            grader.start()
+            grader.join(JOIN_TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not grader.is_alive()
+        assert digests == serial * 3
+
+    def test_failing_window_surfaces_and_the_pool_survives(
+        self, monkeypatch
+    ):
+        """A shard that raises reaches the caller as itself; queued
+        windows are dropped, the same runner grades on, and close()
+        does not wait for the abandoned plan."""
+        spec = CampaignSpec(circuit="b04", technique="mask_scan")
+        other = CampaignSpec(circuit="b06", technique="state_scan")
+        serial = CampaignRunner(workers=1).grade(other)
+
+        def fail_first(index):
+            if not failed:
+                failed.append(index)
+                raise ShardBoom(f"window {index}")
+
+        failed = []
+        calls = record_grade_calls(monkeypatch, before=fail_first)
+        runner = CampaignRunner(workers=2, shards=12)
+        with pytest.raises(ShardBoom):
+            runner.grade(spec)
+        # 12 windows, at most 2 x workers ever submitted before the error
+        assert len(calls) <= 4
+        assert runner.grade(other).outcome_digest() == serial.outcome_digest()
+        started = time.perf_counter()
+        runner.close()
+        assert time.perf_counter() - started < JOIN_TIMEOUT_S
+
+    def test_cancel_between_shards_keeps_yielded_shards_only(
+        self, tmp_path, monkeypatch
+    ):
+        """An on_shard callback that raises after the first shard: the
+        store holds that shard alone, windows not yet started are
+        cancelled before the error surfaces, and a resume finishes with
+        the serial digest."""
+        spec = CampaignSpec(circuit="b04", technique="mask_scan")
+        serial = CampaignRunner(workers=1).grade(spec)
+        release = threading.Event()
+        # window 0 returns at once; every other window holds its thread
+        # until released, so the rest of the plan is still queued
+        record_grade_calls(
+            monkeypatch,
+            before=lambda index: index and release.wait(JOIN_TIMEOUT_S),
+        )
+
+        def cancel(record, done, total):
+            raise ShardBoom("cancelled")
+
+        runner = CampaignRunner(
+            workers=2, shards=8, store_root=str(tmp_path), on_shard=cancel
+        )
+        submitted = []
+        pool = runner._ensure_transport()._ensure_pool()
+        submit = pool.submit
+
+        def recording_submit(*args):
+            future = submit(*args)
+            submitted.append(future)
+            return future
+
+        monkeypatch.setattr(pool, "submit", recording_submit)
+        try:
+            with pytest.raises(ShardBoom):
+                runner.grade(spec)
+            queued = [
+                future for future in submitted
+                if not future.running() and not future.done()
+            ]
+            assert queued == []
+            assert any(future.cancelled() for future in submitted)
+        finally:
+            release.set()
+            runner.close()
+        store = ResultsStore.open(
+            str(tmp_path), spec.oracle_key(), spec.campaign_id,
+            [(w.start_cycle, w.end_cycle) for w in plan_windows(
+                spec.resolved_cycles(), 8)],
+            fault_key=spec.fault_key(),
+        )
+        assert len(store.completed()) == 1
+        with CampaignRunner(
+            workers=2, shards=8, store_root=str(tmp_path)
+        ) as resumed:
+            assert resumed.grade(spec).outcome_digest() == (
+                serial.outcome_digest()
+            )
+
+
+class ShardBoom(RuntimeError):
+    """A failure raised from inside one shard grade (or a callback)."""
+
+
+def record_grade_calls(monkeypatch, before=None) -> list:
+    """Wrap ``worker.grade_window``; each call appends ``(pid, thread,
+    window index)`` and runs ``before(index)`` ahead of the grade."""
+    from repro.run import worker
+
+    calls = []
+    grade = worker.grade_window
+
+    def recording(spec_dict, index, start_cycle, end_cycle):
+        calls.append((os.getpid(), threading.get_ident(), index))
+        if before is not None:
+            before(index)
+        return grade(spec_dict, index, start_cycle, end_cycle)
+
+    monkeypatch.setattr(worker, "grade_window", recording)
+    return calls
 
 
 # ----------------------------------------------------------------------
